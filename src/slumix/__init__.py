@@ -70,7 +70,6 @@ from .stats import (
 from .synthetic import make_synthetic_corpus
 from .trainer import (
     ModelState,
-    ReferenceLearner,
     SpeechSimConfig,
     export_manifest,
     predict,
@@ -86,7 +85,7 @@ __all__ = [
     "CorpusFormatError", "CROSSLINGUAL_MODES", "DEFAULT_TEMPLATE", "Entity",
     "EpochPlan", "ExperimentManifest", "LabelFormatError", "MetricReport",
     "MetricsError", "MixPlan", "ModelState", "PlanError", "PredictionRecord",
-    "PromptError", "PromptTemplate", "ReferenceLearner", "SchedulerConfig",
+    "PromptError", "PromptTemplate", "SchedulerConfig",
     "SeedRun", "SemanticLabel", "SlumixError", "SpeechSimConfig", "StatsError",
     "TrainError", "TrainRecipe", "Utterance", "aggregate", "build_plan",
     "build_prompt", "corpus_stats", "desk_recipe", "entity_prf", "epoch_batches",

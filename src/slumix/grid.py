@@ -53,7 +53,7 @@ from .scheduler import (
     speech_budget,
 )
 from .stats import AggregateCell, SeedRun, aggregate, significant
-from .trainer import SpeechSimConfig, predict, save_model, simulate_speech, tokenize, train
+from .trainer import SpeechSimConfig, predict_many, save_model, simulate_speech, tokenize, train
 from .trainer_recipes import TrainRecipe, desk_recipe, published_recipe
 
 DEFAULT_SPEECH_LEVELS = (0.02, 0.05, 0.10, 0.25, 0.50, 1.0)
@@ -217,13 +217,11 @@ def eval_records(corpus: Corpus) -> list:
 
 def predict_records(model, records, sim: SpeechSimConfig,
                     oracle_transcripts: bool = False) -> list[dict]:
+    token_seqs = [simulate_speech(utt.text, sim)
+                  if utt.has_speech and not oracle_transcripts else tokenize(utt.text)
+                  for utt in records]
     rows = []
-    for utt in records:
-        if utt.has_speech and not oracle_transcripts:
-            tokens = simulate_speech(utt.text, sim)
-        else:
-            tokens = tokenize(utt.text)
-        pred = predict(model, tokens)
+    for utt, pred in zip(records, predict_many(model, token_seqs)):
         pred_raw = "" if pred.unparseable else serialize_label(pred)
         rows.append({"utt_id": utt.id, "gold": utt.label.to_dict(),
                      "pred_raw": pred_raw})

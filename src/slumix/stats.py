@@ -11,11 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from scipy.special import stdtrit
+
 from .errors import StatsError
 from .metrics import MetricReport
 
 # Two-sided 95% critical values of Student's t (0.975 quantile) for
-# df = 1..200; the normal quantile is used beyond the table.
+# df = 1..200; beyond the table the quantile is computed.
 _T95 = (
     12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912, 2.364624, 2.306004,
     2.262157, 2.228139, 2.200985, 2.178813, 2.160369, 2.144787, 2.131450, 2.119905,
@@ -43,7 +45,6 @@ _T95 = (
     1.972870, 1.972800, 1.972731, 1.972663, 1.972595, 1.972528, 1.972462, 1.972396,
     1.972332, 1.972268, 1.972204, 1.972141, 1.972079, 1.972017, 1.971957, 1.971896,
 )
-_NORMAL_975 = 1.959964
 
 
 def t_crit_95(df: int) -> float:
@@ -52,7 +53,7 @@ def t_crit_95(df: int) -> float:
         raise StatsError(f"degrees of freedom must be >= 1 (got {df})")
     if df <= len(_T95):
         return _T95[df - 1]
-    return _NORMAL_975
+    return float(stdtrit(df, 0.975))
 
 
 @dataclass(frozen=True)

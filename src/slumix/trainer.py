@@ -19,6 +19,7 @@ import base64
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -119,8 +120,20 @@ def predict(model: ModelState, tokens: Sequence[str]) -> SemanticLabel:
     """Intent by argmax over the linear model; entities by longest-match scan
     of the input against the learned filler lexicon (left to right,
     non-overlapping)."""
+    return predict_many(model, [tokens])[0]
+
+
+def predict_many(model: ModelState,
+                 token_seqs: Sequence[Sequence[str]]) -> list[SemanticLabel]:
+    """``predict`` for each token sequence, building the lexicon index once."""
     if not model.trained:
-        return UNPARSEABLE
+        return [UNPARSEABLE] * len(token_seqs)
+    index, max_len = _lexicon_index(model.filler_lexicon)
+    return [_predict(model, tokens, index, max_len) for tokens in token_seqs]
+
+
+def _predict(model: ModelState, tokens: Sequence[str],
+             index: dict[tuple[str, ...], str], max_len: int) -> SemanticLabel:
     feats = hashed_features(tokens)
     if not feats:
         scenario, action = model.prior_intent
@@ -133,7 +146,6 @@ def predict(model: ModelState, tokens: Sequence[str]) -> SemanticLabel:
     best = logits.max()
     winner = min(c for c, l in zip(model.classes, logits) if l == best)
 
-    index, max_len = _lexicon_index(model.filler_lexicon)
     entities = []
     i, n = 0, len(tokens)
     while i < n:
@@ -164,6 +176,11 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     Consumes epochs and batches exactly as ``epoch_batches`` dictates; the
     per-epoch item counts in the training log therefore match ``plan_totals``
     identically. Fully deterministic in (plan, corpus, recipe, sim).
+
+    Each distinct (item id, modality) is compiled once into a sparse row of
+    feature counts, and each batch is one matrix step whose float sums run in
+    the order of the per-item loop in ``tests/reference_trainer.py``, so the
+    model is the same bit for bit.
     """
     check_recipe_for_scheme(recipe, plan.config.scheme)
     by_id = corpus.by_id()
@@ -171,18 +188,44 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
                    for e in range(1, plan.config.epochs + 1)]
     if not any(batch for epoch in all_batches for batch in epoch):
         raise TrainError("plan contains no training items")
-    for epoch in all_batches:
-        for batch in epoch:
-            for item_id, _ in batch:
-                if item_id not in by_id:
-                    raise TrainError(f"plan item {item_id!r} not found in corpus")
 
-    class_set = sorted({by_id[i].label.normalized().intent
-                        for epoch in all_batches for batch in epoch for i, _ in batch})
-    classes = tuple(class_set)
-    class_idx = {c: k for k, c in enumerate(classes)}
+    keys: dict[tuple[str, str], int] = {}
+    labels: list[SemanticLabel] = []
+    vocab: dict[int, int] = {}  # hashed feature -> row of the weight matrix
+    indptr, cols, counts = [0], [], []
+    lexicon: dict[str, dict[str, int]] = {}
+    intent_counts: Counter = Counter()
+    key_batches = [[] for _ in all_batches]  # per epoch, per batch: key numbers
+    for epoch, epoch_keys in zip(all_batches, key_batches):
+        for batch in epoch:
+            ks = []
+            for key in batch:
+                k = keys.get(key)
+                if k is None:
+                    item_id, modality = key
+                    utt = by_id.get(item_id)
+                    if utt is None:
+                        raise TrainError(f"plan item {item_id!r} not found in corpus")
+                    k = keys[key] = len(labels)
+                    labels.append(utt.label.normalized())
+                    for idx, count in hashed_features(_item_tokens(utt, modality, sim)).items():
+                        cols.append(vocab.setdefault(idx, len(vocab)))
+                        counts.append(count)
+                    indptr.append(len(cols))
+                ks.append(k)
+                label = labels[k]
+                intent_counts[label.intent] += 1
+                for ent in label.entities:
+                    slots = lexicon.setdefault(ent.filler, {})
+                    slots[ent.etype] = slots.get(ent.etype, 0) + 1
+            epoch_keys.append(np.array(ks))
+    indptr, cols, counts = np.array(indptr), np.array(cols, dtype=np.intp), np.array(counts)
+
+    classes = tuple(sorted({label.intent for label in labels}))
+    targets = np.array([classes.index(label.intent) for label in labels])
     n_classes = len(classes)
-    model = ModelState(classes=classes, bias=np.zeros(n_classes))
+    model = ModelState(classes=classes, bias=np.zeros(n_classes), filler_lexicon=lexicon,
+                       prior_intent=min(intent_counts, key=lambda c: (-intent_counts[c], c)))
 
     # Phase 2 (curriculum only) covers the final epoch; each phase runs its
     # own warmup+decay over its own step span.
@@ -194,113 +237,68 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     for e0, epoch in enumerate(all_batches):
         phase_steps[phase_of_epoch[e0]] += len(epoch)
 
-    intent_counts: dict[tuple[str, str], int] = {}
+    weights = np.zeros((len(vocab), n_classes))
+    touched = 0  # feature rows below this have had an update
     step_in_phase = {1: 0, 2: 0}
-    for e0, batches in enumerate(all_batches):
+    for e0, batches in enumerate(key_batches):
         phase = phase_of_epoch[e0]
-        n_text = n_speech = 0
+        n_items = sum(len(ks) for ks in batches)
+        n_speech = sum(modality == "speech" for batch in all_batches[e0] for _, modality in batch)
         loss_sum = 0.0
         hits = 0
-        n_items = 0
-        for batch in batches:
+        for ks in batches:
             lr = lr_at(recipe, step_in_phase[phase], phase_steps[phase], phase)
             step_in_phase[phase] += 1
-            grad: dict[int, np.ndarray] = {}
-            grad_bias = np.zeros(n_classes)
-            for item_id, modality in batch:
-                utt = by_id[item_id]
-                if modality == "speech":
-                    n_speech += 1
-                else:
-                    n_text += 1
-                label = utt.label.normalized()
-                intent_counts[label.intent] = intent_counts.get(label.intent, 0) + 1
-                for ent in label.entities:
-                    slots = model.filler_lexicon.setdefault(ent.filler, {})
-                    slots[ent.etype] = slots.get(ent.etype, 0) + 1
+            rows = np.arange(len(ks))
+            lens = indptr[ks + 1] - indptr[ks]
+            entry_row = np.repeat(rows, lens)
+            # positions in cols/counts of the batch's items' entries, in item order
+            shift = indptr[ks] - (np.cumsum(lens) - lens)
+            entries = np.arange(lens.sum()) + np.repeat(shift, lens)
+            batch_cols = cols[entries]
+            batch_counts = counts[entries, None]
 
-                feats = hashed_features(_item_tokens(utt, modality, sim))
-                logits = model.bias.copy()
-                for idx, count in feats.items():
-                    w = model.weights.get(idx)
-                    if w is not None:
-                        logits += count * w
-                logits -= logits.max()
-                probs = np.exp(logits)
-                probs /= probs.sum()
-                target = class_idx[label.intent]
-                loss_sum += -math.log(max(probs[target], 1e-300))
-                hits += int(int(np.argmax(logits)) == target)
-                n_items += 1
-                dlogits = probs.copy()
-                dlogits[target] -= 1.0
-                grad_bias += dlogits
-                for idx, count in feats.items():
-                    g = grad.get(idx)
-                    if g is None:
-                        grad[idx] = count * dlogits
-                    else:
-                        g += count * dlogits
-            scale = lr / len(batch)
-            model.bias -= scale * grad_bias
-            for idx, g in grad.items():
-                w = model.weights.get(idx)
-                if w is None:
-                    model.weights[idx] = -scale * g
-                else:
-                    w -= scale * g
+            # np.add.at applies entries in order: bias, then each feature in
+            # item order, as the per-item sum does.
+            logits = np.tile(model.bias, (len(ks), 1))
+            np.add.at(logits, entry_row, batch_counts * weights[batch_cols])
+            logits -= logits.max(axis=1, keepdims=True)
+            probs = np.exp(logits)
+            probs /= probs.sum(axis=1, keepdims=True)
+            batch_targets = targets[ks]
+            for p in probs[rows, batch_targets].tolist():
+                loss_sum += -math.log(max(p, 1e-300))
+            hits += int((logits.argmax(axis=1) == batch_targets).sum())
+
+            dlogits = probs
+            dlogits[rows, batch_targets] -= 1.0
+            uniq, inverse = np.unique(batch_cols, return_inverse=True)
+            grad = np.zeros((len(uniq), n_classes))
+            np.add.at(grad, inverse, batch_counts * dlogits[entry_row])
+            scale = lr / len(ks)
+            # cumsum adds the rows one by one in item order; sum may pair them
+            model.bias -= scale * np.cumsum(dlogits, axis=0)[-1]
+            # A feature's first update sets it to -scale * g, keeping the sign
+            # of zero that the per-item dict of weights would store.
+            first = np.searchsorted(uniq, touched)
+            weights[uniq[:first]] -= scale * grad[:first]
+            weights[uniq[first:]] = -scale * grad[first:]
+            touched += len(uniq) - first
         model.train_log.append({
             "epoch": e0 + 1,
-            "text_items": n_text,
+            "text_items": n_items - n_speech,
             "speech_items": n_speech,
             "mean_loss": loss_sum / n_items if n_items else 0.0,
             "train_intent_accuracy": hits / n_items if n_items else 0.0,
         })
-    model.prior_intent = min(
-        (c for c in intent_counts),
-        key=lambda c: (-intent_counts[c], c),
-    )
+    model.weights = {idx: weights[col] for idx, col in vocab.items()}
+
     totals = plan_totals(plan)
     logged = [(rec["text_items"], rec["speech_items"]) for rec in model.train_log]
     planned = list(zip(totals["per_epoch_text"], totals["per_epoch_speech"]))
-    assert logged == planned, "consumed item counts diverged from the plan"
+    if logged != planned:
+        raise TrainError(f"consumed item counts {logged} diverged from the plan {planned}")
     return model
-
-
-class ReferenceLearner:
-    """Estimator-style wrapper: configure once, fit a corpus, predict tokens.
-
-    Follows the scikit-learn parameter protocol (get_params/set_params) so
-    the learner drops into pipelines and grid utilities that expect it.
-    """
-
-    def __init__(self, plan: Optional[MixPlan] = None,
-                 recipe: Optional[TrainRecipe] = None,
-                 sim: Optional[SpeechSimConfig] = None):
-        self.plan = plan
-        self.recipe = recipe
-        self.sim = sim
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"plan": self.plan, "recipe": self.recipe, "sim": self.sim}
-
-    def set_params(self, **params) -> "ReferenceLearner":
-        for key, value in params.items():
-            if key not in ("plan", "recipe", "sim"):
-                raise TrainError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, corpus: Corpus) -> "ReferenceLearner":
-        if self.plan is None or self.recipe is None or self.sim is None:
-            raise TrainError("plan, recipe and sim must be set before fit")
-        self.state_ = train(self.plan, corpus, self.recipe, self.sim)
-        return self
-
-    def predict(self, token_seqs: Sequence[Sequence[str]]) -> list[SemanticLabel]:
-        if not hasattr(self, "state_"):
-            raise TrainError("fit must be called before predict")
-        return [predict(self.state_, toks) for toks in token_seqs]
 
 
 def _b64(arr: np.ndarray) -> str:

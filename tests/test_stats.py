@@ -31,6 +31,11 @@ class TestTTable:
         assert t_crit_95(200) == pytest.approx(scipy_stats.t.ppf(0.975, 200), abs=1e-4)
         assert t_crit_95(5000) == pytest.approx(1.9600, abs=1e-3)
 
+    def test_beyond_table_continues_the_quantile(self):
+        assert t_crit_95(201) == pytest.approx(1.971837, abs=1e-6)
+        values = [t_crit_95(df) for df in range(1, 10001)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
     def test_df_zero_rejected(self):
         with pytest.raises(StatsError):
             t_crit_95(0)

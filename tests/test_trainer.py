@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import make_corpus, make_utt
@@ -22,8 +24,8 @@ from slumix import (
     train,
 )
 from slumix.corpus import Corpus
+import slumix.trainer as trainer_module
 from slumix.trainer import (
-    ReferenceLearner,
     hashed_features,
     load_model,
     model_to_dict,
@@ -181,6 +183,36 @@ class TestTrain:
         with pytest.raises(TrainError, match="not found"):
             train(plan, broken, desk_recipe("direct"), SIM0)
 
+    def test_speech_simulated_once_per_item(self, monkeypatch):
+        corpus = speech_train_corpus(40)
+        plan = plan_for(corpus, "direct", 1.0)
+        calls = Counter()
+        real = trainer_module.simulate_speech
+
+        def counting(text, cfg):
+            calls[text] += 1
+            return real(text, cfg)
+
+        monkeypatch.setattr(trainer_module, "simulate_speech", counting)
+        train(plan, corpus, desk_recipe("direct"), SIM0)
+        speech_texts = {u.text for u in speech_items(filter_split(corpus, "train"))}
+        assert plan_totals(plan)["total_speech"] == 3 * len(speech_texts)
+        assert set(calls) == speech_texts
+        assert set(calls.values()) == {1}
+
+    def test_count_divergence_raises(self, monkeypatch):
+        corpus = speech_train_corpus(20)
+        real = trainer_module.plan_totals
+
+        def skewed(plan):
+            totals = real(plan)
+            totals["per_epoch_speech"] = [n + 1 for n in totals["per_epoch_speech"]]
+            return totals
+
+        monkeypatch.setattr(trainer_module, "plan_totals", skewed)
+        with pytest.raises(TrainError, match="diverged from the plan"):
+            train(plan_for(corpus, "direct", 0.5), corpus, desk_recipe("direct"), SIM0)
+
     def test_empty_plan(self):
         corpus = speech_train_corpus(10)
         config = SchedulerConfig(scheme="text_only", p=0.0, epochs=2, seed=0,
@@ -260,23 +292,6 @@ class TestSerializationAndEstimator:
         assert model_to_dict(loaded) == model_to_dict(model)
         tokens = tokenize("music utterance number 1 play please")
         assert predict(loaded, tokens) == predict(model, tokens)
-
-    def test_estimator_protocol(self):
-        corpus = speech_train_corpus(30)
-        learner = ReferenceLearner()
-        params = learner.get_params()
-        assert set(params) == {"plan", "recipe", "sim"}
-        learner.set_params(plan=plan_for(corpus, "text_only", 0.0),
-                           recipe=desk_recipe("text_only"), sim=SIM0)
-        preds = learner.fit(corpus).predict(
-            [tokenize("weather utterance number 2 query please")])
-        assert preds[0].scenario == "weather"
-
-    def test_estimator_requires_fit(self):
-        with pytest.raises(TrainError):
-            ReferenceLearner().predict([["x"]])
-        with pytest.raises(TrainError):
-            ReferenceLearner().fit(speech_train_corpus(4))
 
 
 class TestManifest:

@@ -1,0 +1,127 @@
+"""The batched trainer against the per-item loop in ``reference_trainer``.
+
+Equality here is exact: the batched trainer sums in the loop's order, so any
+difference in a weight, the bias, the lexicon (including its key order) or
+the training log is a defect, not rounding.
+"""
+
+import pytest
+
+import reference_trainer
+from conftest import make_corpus, make_utt
+from slumix import (
+    ExperimentManifest,
+    SchedulerConfig,
+    SpeechSimConfig,
+    build_plan,
+    desk_recipe,
+    epoch_batches,
+    make_synthetic_corpus,
+    run_grid,
+    save_corpus,
+    train,
+)
+from slumix.grid import make_plan_for_corpus
+
+SIM = SpeechSimConfig(substitution_rate=0.15, deletion_rate=0.10, seed=7)
+
+
+def assert_same_model(new, old):
+    assert new.classes == old.classes
+    assert new.bias.tobytes() == old.bias.tobytes()
+    assert {f: w.tobytes() for f, w in new.weights.items()} == \
+        {f: w.tobytes() for f, w in old.weights.items()}
+    assert list(new.filler_lexicon.items()) == list(old.filler_lexicon.items())
+    assert [list(slots) for slots in new.filler_lexicon.values()] == \
+        [list(slots) for slots in old.filler_lexicon.values()]
+    assert new.prior_intent == old.prior_intent
+    assert new.train_log == old.train_log
+
+
+def both(plan, corpus, recipe, sim):
+    new = train(plan, corpus, recipe, sim)
+    assert_same_model(new, reference_trainer.train(plan, corpus, recipe, sim))
+    return new
+
+
+@pytest.fixture(scope="module")
+def synthetic():
+    return make_synthetic_corpus(300, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("scheme,level", [
+    ("text_only", 0.0),
+    *[(scheme, level) for scheme in ("direct", "curriculum")
+      for level in (0.02, 0.25, 1.0)],
+])
+def test_synthetic_grid_cells(synthetic, scheme, level, seed):
+    plan = make_plan_for_corpus(synthetic, scheme, level, seed, 3)
+    sim = SpeechSimConfig(substitution_rate=0.15, deletion_rate=0.10, seed=seed)
+    both(plan, synthetic, desk_recipe(scheme), sim)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_batch_sizes(synthetic, batch_size):
+    plan = make_plan_for_corpus(synthetic, "direct", 0.25, 1, 2)
+    if batch_size > 1:
+        assert len(epoch_batches(plan, 1, batch_size, 1)[-1]) < batch_size
+    both(plan, synthetic, desk_recipe("direct", epochs=2, batch_size=batch_size), SIM)
+
+
+def test_curriculum_single_epoch(synthetic):
+    plan = make_plan_for_corpus(synthetic, "curriculum", 0.25, 3, 1)
+    model = both(plan, synthetic, desk_recipe("curriculum", epochs=1), SIM)
+    assert model.train_log[0]["speech_items"] > 0
+
+
+def test_speech_without_features(synthetic):
+    plan = make_plan_for_corpus(synthetic, "direct", 1.0, 1, 2)
+    silent = SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=1)
+    both(plan, synthetic, desk_recipe("direct", epochs=2), silent)
+
+
+def test_intent_seen_only_in_speech():
+    records = [make_utt(f"t{i}", f"wake me at {i} am", "alarm", "set",
+                        [("time", f"{i} am")]) for i in range(6)]
+    records += [make_utt(f"m{i}", f"play song {i}", "music", "play",
+                         [("song", f"song {i}")]) for i in range(6)]
+    records += [make_utt(f"s{i}", f"is it raining in city {i}", "weather", "query",
+                         [("place", f"city {i}")], speech=True) for i in range(5)]
+    corpus = make_corpus(records)
+    text_ids = [r.id for r in records if r.speech_ref is None]
+    speech_ids = [r.id for r in records if r.speech_ref is not None]
+    config = SchedulerConfig(scheme="direct", p=1.0, epochs=3, seed=4,
+                             n_speech=len(speech_ids))
+    plan = build_plan(config, text_ids, speech_ids)
+    model = both(plan, corpus, desk_recipe("direct", batch_size=4), SIM)
+    assert ("weather", "query") in model.classes
+
+
+def test_grid_outputs_byte_identical(tmp_path, monkeypatch):
+    corpus_path = tmp_path / "syn.jsonl"
+    save_corpus(make_synthetic_corpus(200, seed=1), corpus_path)
+    manifest = ExperimentManifest(
+        corpora={"syn": str(corpus_path)},
+        schemes=("text_only", "direct", "curriculum"),
+        speech_levels=(0.1, 1.0),
+        seeds=(1, 2),
+        epochs=2,
+        recipe={"profile": "desk"},
+        sim={"substitution_rate": 0.15, "deletion_rate": 0.1},
+    )
+    run_grid(manifest, tmp_path / "new")
+    with monkeypatch.context() as m:
+        m.setattr("slumix.grid.train", reference_trainer.train)
+        run_grid(manifest, tmp_path / "oracle")
+
+    new_files = sorted(p.relative_to(tmp_path / "new")
+                       for p in (tmp_path / "new").rglob("*") if p.is_file())
+    oracle_files = sorted(p.relative_to(tmp_path / "oracle")
+                          for p in (tmp_path / "oracle").rglob("*") if p.is_file())
+    assert new_files == oracle_files
+    assert sum(p.name == "model.json" for p in new_files) == 10
+    assert any(p.name == "aggregate.csv" for p in new_files)
+    for rel in new_files:
+        assert (tmp_path / "new" / rel).read_bytes() == \
+            (tmp_path / "oracle" / rel).read_bytes(), rel
