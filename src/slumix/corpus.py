@@ -232,10 +232,6 @@ def validate_corpus(corpus: Corpus, require_same_lang: bool = True) -> None:
                 f"record {utt.id!r}: lang {utt.lang!r} != corpus lang {corpus.lang!r}")
 
 
-def _normalize_label(label: SemanticLabel) -> SemanticLabel:
-    return label.normalized()
-
-
 def _map_split(raw: str, path, line) -> str:
     split = _SPLIT_ALIASES.get(str(raw).strip().lower())
     if split is None:
@@ -305,7 +301,7 @@ def _canonical_records(path) -> Iterable[Utterance]:
         except KeyError as exc:
             raise CorpusFormatError(f"missing field {exc.args[0]!r}", path, lineno) from exc
         utt = replace(utt, split=_map_split(utt.split, path, lineno),
-                      label=_normalize_label(utt.label))
+                      label=utt.label.normalized())
         _validate_record(utt, path, lineno)
         yield utt
 
@@ -324,9 +320,9 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
         action = obj.get("action")
         if action is None:
             scenario, action = _split_intent(obj.get("intent", ""), scenario)
-        label = _normalize_label(SemanticLabel(
+        label = SemanticLabel(
             scenario=scenario, action=str(action),
-            entities=_entities_from_list(obj.get("entities"), annotated)))
+            entities=_entities_from_list(obj.get("entities"), annotated)).normalized()
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
         text_utt = Utterance(id=base_id, lang=lang, split=split, text=text, label=label)
@@ -351,9 +347,9 @@ def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
         text = str(obj.get("utt", obj.get("text", "")))
         annotated = str(obj.get("annot_utt", ""))
         scenario, action = _split_intent(obj.get("intent", ""), obj.get("scenario", ""))
-        label = _normalize_label(SemanticLabel(
+        label = SemanticLabel(
             scenario=scenario, action=action,
-            entities=_entities_from_annotation(annotated)))
+            entities=_entities_from_annotation(annotated)).normalized()
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .corpus import (
     Corpus,
@@ -32,7 +33,7 @@ from .corpus import (
     text_items,
 )
 from .crosslingual import DEFAULT_FEWSHOT_PAIRS, make_crosslingual_corpus
-from .errors import ConfigError, SlumixError
+from .errors import ConfigError
 from .labelcodec import parse_label, serialize_label
 from .metrics import (
     MetricReport,
@@ -52,7 +53,7 @@ from .scheduler import (
     save_plan,
     speech_budget,
 )
-from .stats import AggregateCell, SeedRun, aggregate, significant
+from .stats import AggregateCell, SeedRun, aggregate, comparison_marks
 from .trainer import SpeechSimConfig, predict_many, save_model, simulate_speech, tokenize, train
 from .trainer_recipes import TrainRecipe, desk_recipe, published_recipe
 
@@ -287,17 +288,6 @@ class GridOutcome:
         return not self.failures
 
 
-class _CorpusCache:
-    def __init__(self, manifest: ExperimentManifest):
-        self.paths = manifest.corpora
-        self._loaded: dict[str, Corpus] = {}
-
-    def get(self, name: str) -> Corpus:
-        if name not in self._loaded:
-            self._loaded[name] = load_corpus(self.paths[name], "canonical", name=name)
-        return self._loaded[name]
-
-
 def _mono_cells(manifest: ExperimentManifest):
     for corpus_name in sorted(manifest.corpora):
         for scheme in manifest.schemes:
@@ -307,8 +297,8 @@ def _mono_cells(manifest: ExperimentManifest):
                     yield corpus_name, scheme, level, seed
 
 
-def _run_mono_cell(manifest: ExperimentManifest, cache: _CorpusCache, out_dir: Path,
-                   corpus_name: str, scheme: str, level: float, seed: int,
+def _run_mono_cell(manifest: ExperimentManifest, corpora: Callable[[str], Corpus],
+                   out_dir: Path, corpus_name: str, scheme: str, level: float, seed: int,
                    manifest_hash: str) -> tuple[str, bool]:
     cell_id = f"{_safe_name(corpus_name)}__{scheme}__p{_fmt_level(level)}__s{seed}"
     cell_hash = _cell_hash({
@@ -318,7 +308,7 @@ def _run_mono_cell(manifest: ExperimentManifest, cache: _CorpusCache, out_dir: P
     cell_dir = out_dir / cell_id
     if _cell_is_done(cell_dir, cell_hash):
         return cell_id, False
-    corpus = cache.get(corpus_name)
+    corpus = corpora(corpus_name)
     plan = make_plan_for_corpus(corpus, scheme, level, seed, manifest.epochs)
     recipe = recipe_from_config(manifest.recipe, scheme, manifest.epochs)
     sim = sim_from_config(manifest.sim, seed)
@@ -363,8 +353,8 @@ def _xl_cells(manifest: ExperimentManifest):
                 yield mode, level, seed
 
 
-def _run_xl_cell(manifest: ExperimentManifest, cache: _CorpusCache, out_dir: Path,
-                 mode: str, level: float, seed: int,
+def _run_xl_cell(manifest: ExperimentManifest, corpora: Callable[[str], Corpus],
+                 out_dir: Path, mode: str, level: float, seed: int,
                  manifest_hash: str) -> tuple[str, bool]:
     xl = manifest.crosslingual
     cell_id = f"xl__{mode}__p{_fmt_level(level)}__s{seed}"
@@ -375,9 +365,9 @@ def _run_xl_cell(manifest: ExperimentManifest, cache: _CorpusCache, out_dir: Pat
     cell_dir = out_dir / cell_id
     if _cell_is_done(cell_dir, cell_hash):
         return cell_id, False
-    source = _restrict_source_speech(cache.get(xl.source), level, seed)
-    targets = [cache.get(name) for name in xl.targets]
-    massive = [cache.get(name) for name in xl.massive]
+    source = _restrict_source_speech(corpora(xl.source), level, seed)
+    targets = [corpora(name) for name in xl.targets]
+    massive = [corpora(name) for name in xl.massive]
     combined = make_crosslingual_corpus(
         source, targets, massive or None, mode,
         fewshot_pairs=xl.fewshot_pairs, seed=derive_seed(seed, "fewshot-selection"))
@@ -407,13 +397,15 @@ def _run_xl_cell(manifest: ExperimentManifest, cache: _CorpusCache, out_dir: Pat
 def run_grid(manifest: ExperimentManifest, out_dir) -> GridOutcome:
     """Run every cell (skipping finished ones), then aggregate to CSV.
 
-    Cell failures are recorded and the grid continues; the outcome carries
-    the failure list so callers can exit nonzero.
+    Any exception in a cell is recorded as that cell's failure (type and
+    message) and the grid continues; the outcome carries the failure list so
+    callers can exit nonzero. Each corpus is loaded once, on first use.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_hash = _cell_hash(manifest_to_dict(manifest))
-    cache = _CorpusCache(manifest)
+    corpora = functools.cache(
+        lambda name: load_corpus(manifest.corpora[name], "canonical", name=name))
     outcome = GridOutcome()
     if manifest.crosslingual is None:
         cells = [("mono", c) for c in _mono_cells(manifest)]
@@ -422,15 +414,16 @@ def run_grid(manifest: ExperimentManifest, out_dir) -> GridOutcome:
     for kind, cell in cells:
         try:
             if kind == "mono":
-                _, ran = _run_mono_cell(manifest, cache, out, *cell,
+                _, ran = _run_mono_cell(manifest, corpora, out, *cell,
                                         manifest_hash=manifest_hash)
             else:
-                _, ran = _run_xl_cell(manifest, cache, out, *cell,
+                _, ran = _run_xl_cell(manifest, corpora, out, *cell,
                                       manifest_hash=manifest_hash)
             outcome.cells_run += int(ran)
             outcome.cells_skipped += int(not ran)
-        except SlumixError as exc:
-            outcome.failures.append({"cell": repr(cell), "error": str(exc)})
+        except Exception as exc:
+            outcome.failures.append({"cell": repr(cell), "type": type(exc).__name__,
+                                     "error": str(exc)})
     outcome.rows = aggregate_results(out)
     write_rows_csv(outcome.rows, out / "aggregate.csv")
     return outcome
@@ -457,7 +450,7 @@ def _aggregate_group(key: dict, seed_reports) -> list[dict]:
 
 
 def aggregate_results(out_dir) -> list[dict]:
-    """One row per (group, metric): mean, CI half-width, n, significance."""
+    """One row per (group, metric): mean, CI half-width and n."""
     out_dir = Path(out_dir)
     groups: dict[tuple, list] = {}
     for meta, report in _collect_cell_meta(out_dir):
@@ -480,32 +473,16 @@ def aggregate_results(out_dir) -> list[dict]:
             key = {"corpus": "", "mode": mode, "target_lang": lang,
                    "scheme": scheme, "speech_level": level}
         rows.extend(_aggregate_group(key, seed_reports))
-    _mark_significance(rows)
     return rows
 
 
-def _mark_significance(rows) -> None:
-    """Direct-vs-curriculum CI-overlap marks at matching levels."""
-    index = {}
-    for row in rows:
-        k = (row["corpus"], row["mode"], row["target_lang"],
-             row["speech_level"], row["metric"])
-        index.setdefault(k, {})[row["scheme"]] = row
-    for pair in index.values():
-        direct, curr = pair.get("direct"), pair.get("curriculum")
-        for row in pair.values():
-            row["significant"] = ""
-        if direct is None or curr is None:
-            continue
-        mark = significant(direct["cell"], curr["cell"], "direct", "curriculum")
-        if mark.significant:
-            pair[mark.winner]["significant"] = "yes"
-
-
 def write_rows_csv(rows, path) -> None:
-    """Deterministic CSV: fixed column order, shortest-repr floats, LF ends."""
+    """Deterministic CSV: fixed column order, shortest-repr floats, LF ends.
+
+    The ``significant`` column is recomputed from the rows' cells.
+    """
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
+    for row, marked in zip(rows, comparison_marks(rows)):
         cell: AggregateCell = row["cell"]
         values = {
             "corpus": row["corpus"],
@@ -517,7 +494,7 @@ def write_rows_csv(rows, path) -> None:
             "mean": repr(cell.mean),
             "half_width": "" if cell.half_width is None else repr(cell.half_width),
             "n": str(cell.n),
-            "significant": row.get("significant", ""),
+            "significant": "yes" if marked else "",
         }
         lines.append(",".join(values[c] for c in CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -541,6 +518,5 @@ def read_rows_csv(path) -> list[dict]:
                     half_width=None if raw["half_width"] == "" else float(raw["half_width"]),
                     n=int(raw["n"]),
                 ),
-                "significant": raw["significant"],
             })
     return rows

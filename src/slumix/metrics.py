@@ -6,11 +6,16 @@ codec's normalization so round-tripped predictions do not lose score.
 
 SLU-F1 jointly scores intent and entities: each utterance contributes its
 entity spans plus two pseudo-spans carrying the scenario and action values.
-Same-type gold/predicted spans are matched by an optimal assignment, with
-fractional credit per matched pair given by multiset-overlap F1 of the filler
-strings, computed once over word tokens and once over characters. The final
-score is the arithmetic mean of the micro word-level F1 and the micro
-character-level F1 (the SLURP-toolkit convention).
+Same-type gold/predicted spans are matched by one optimal assignment
+(``scipy.optimize.linear_sum_assignment``) per span type, with fractional
+credit per matched pair given by multiset-overlap F1 of the filler strings,
+computed once over word tokens and once over characters. The final score is
+the arithmetic mean of the micro word-level F1 and the micro character-level
+F1 (the SLURP-toolkit convention).
+
+``evaluate`` computes every metric in one pass over the records, normalizing
+each label once; ``intent_accuracy``, ``entity_prf`` and ``slu_f1`` are views
+of its report.
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .corpus import SemanticLabel
 from .errors import MetricsError
-
-# Exhaustive assignment is used up to this many spans per side; the Hungarian
-# solver takes over beyond it. Both produce the maximum credit.
-_EXHAUSTIVE_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -104,43 +105,26 @@ def _spans(label: SemanticLabel) -> list[tuple[str, str]]:
     return spans
 
 
-def _max_credit_exhaustive(matrix: list[list[float]]) -> float:
-    n_gold = len(matrix)
-
-    def best(g: int, used: int) -> float:
-        if g == n_gold:
-            return 0.0
-        top = best(g + 1, used)  # leave gold g unmatched
-        for p, credit in enumerate(matrix[g]):
-            if not used & (1 << p):
-                top = max(top, credit + best(g + 1, used | (1 << p)))
-        return top
-
-    return best(0, 0)
-
-
 def _max_credit(matrix: list[list[float]]) -> float:
-    """Maximum total credit of an injective partial matching."""
-    if not matrix or not matrix[0]:
-        return 0.0
-    if len(matrix) <= _EXHAUSTIVE_LIMIT and len(matrix[0]) <= _EXHAUSTIVE_LIMIT:
-        return _max_credit_exhaustive(matrix)
+    """Maximum total credit of an injective partial matching. Credits are
+    non-negative, so a maximum-weight assignment of the smaller side attains it."""
     rows, cols = linear_sum_assignment(matrix, maximize=True)
     return float(sum(matrix[r][c] for r, c in zip(rows, cols)))
 
 
-def _matched_credit(gold_spans, pred_spans, credit_fn) -> float:
-    """Optimal same-type matching credit for one utterance."""
+def _matched_credit(gold_spans, pred_spans) -> tuple[float, float]:
+    """Optimal same-type matching credit for one utterance: (word, char)."""
     by_type: dict[str, tuple[list, list]] = {}
     for etype, filler in gold_spans:
         by_type.setdefault(etype, ([], []))[0].append(filler)
     for etype, filler in pred_spans:
         by_type.setdefault(etype, ([], []))[1].append(filler)
-    total = 0.0
+    word = char = 0.0
     for golds, preds in by_type.values():
         if golds and preds:
-            total += _max_credit([[credit_fn(g, p) for p in preds] for g in golds])
-    return total
+            word += _max_credit([[word_credit(g, p) for p in preds] for g in golds])
+            char += _max_credit([[char_credit(g, p) for p in preds] for g in golds])
+    return word, char
 
 
 def _entity_counts(gold: SemanticLabel, pred: SemanticLabel) -> tuple[int, int, int]:
@@ -152,71 +136,33 @@ def _entity_counts(gold: SemanticLabel, pred: SemanticLabel) -> tuple[int, int, 
     return tp, sum(pred_bag.values()) - tp, sum(gold_bag.values()) - tp
 
 
-def intent_accuracy(records) -> float:
-    """Fraction of utterances whose (scenario, action) pair is exactly right."""
+def evaluate(records) -> MetricReport:
+    """All three metrics in one pass over the records, with the underlying counts."""
     records = _check_records(records)
-    hits = 0
+    hits = tp = fp = fn = n_gold = n_pred = 0
+    word_tp = char_tp = 0.0
     for r in records:
         gold, pred = r.gold.normalized(), r.pred.normalized()
         if not pred.unparseable and pred.intent == gold.intent:
             hits += 1
-    return hits / len(records)
-
-
-def entity_prf(records) -> tuple[float, float, float]:
-    """Micro precision/recall/F1 over exact (type, filler) entity matches."""
-    records = _check_records(records)
-    tp = fp = fn = 0
-    for r in records:
-        dtp, dfp, dfn = _entity_counts(r.gold.normalized(), r.pred.normalized())
+        dtp, dfp, dfn = _entity_counts(gold, pred)
         tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
-    precision = _ratio(tp, tp + fp)
-    recall = _ratio(tp, tp + fn)
-    return precision, recall, _f1(precision, recall)
-
-
-def _slu_totals(records) -> tuple[float, float, int, int]:
-    word_tp = char_tp = 0.0
-    n_gold = n_pred = 0
-    for r in records:
-        gold_spans = _spans(r.gold.normalized())
-        pred_spans = _spans(r.pred.normalized())
+        gold_spans, pred_spans = _spans(gold), _spans(pred)
         n_gold += len(gold_spans)
         n_pred += len(pred_spans)
-        word_tp += _matched_credit(gold_spans, pred_spans, word_credit)
-        char_tp += _matched_credit(gold_spans, pred_spans, char_credit)
-    return word_tp, char_tp, n_gold, n_pred
-
-
-def _slu_from_totals(word_tp, char_tp, n_gold, n_pred) -> float:
-    word_f1 = _f1(_ratio(word_tp, n_pred), _ratio(word_tp, n_gold))
-    char_f1 = _f1(_ratio(char_tp, n_pred), _ratio(char_tp, n_gold))
-    return (word_f1 + char_f1) / 2
-
-
-def slu_f1(records) -> float:
-    """Mean of micro word-overlap F1 and micro char-overlap F1 over spans."""
-    records = _check_records(records)
-    return _slu_from_totals(*_slu_totals(records))
-
-
-def evaluate(records) -> MetricReport:
-    """All three metrics in one pass, with the underlying counts."""
-    records = _check_records(records)
-    tp = fp = fn = 0
-    for r in records:
-        dtp, dfp, dfn = _entity_counts(r.gold.normalized(), r.pred.normalized())
-        tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
+        word, char = _matched_credit(gold_spans, pred_spans)
+        word_tp += word
+        char_tp += char
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
-    f1 = _f1(precision, recall)
-    word_tp, char_tp, n_gold, n_pred = _slu_totals(records)
+    word_f1 = _f1(_ratio(word_tp, n_pred), _ratio(word_tp, n_gold))
+    char_f1 = _f1(_ratio(char_tp, n_pred), _ratio(char_tp, n_gold))
     return MetricReport(
-        intent_accuracy=intent_accuracy(records),
+        intent_accuracy=hits / len(records),
         entity_precision=precision,
         entity_recall=recall,
-        entity_f1=f1,
-        slu_f1=_slu_from_totals(word_tp, char_tp, n_gold, n_pred),
+        entity_f1=_f1(precision, recall),
+        slu_f1=(word_f1 + char_f1) / 2,
         counts={
             "n_utts": len(records),
             "tp": tp,
@@ -226,6 +172,22 @@ def evaluate(records) -> MetricReport:
             "char_tp_frac": char_tp,
         },
     )
+
+
+def intent_accuracy(records) -> float:
+    """Fraction of utterances whose (scenario, action) pair is exactly right."""
+    return evaluate(records).intent_accuracy
+
+
+def entity_prf(records) -> tuple[float, float, float]:
+    """Micro precision/recall/F1 over exact (type, filler) entity matches."""
+    report = evaluate(records)
+    return report.entity_precision, report.entity_recall, report.entity_f1
+
+
+def slu_f1(records) -> float:
+    """Mean of micro word-overlap F1 and micro char-overlap F1 over spans."""
+    return evaluate(records).slu_f1
 
 
 def report_to_dict(report: MetricReport) -> dict:

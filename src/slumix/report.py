@@ -18,7 +18,7 @@ published values reproduces the published marks.
 from __future__ import annotations
 
 from .errors import ConfigError
-from .stats import relative_improvement, significant
+from .stats import comparison_marks, relative_improvement
 
 REPORT_STYLES = ("monolingual", "zeroshot_relative", "fewshot")
 
@@ -48,33 +48,15 @@ def _csv_table(header: list[str], body: list[list[str]]) -> str:
     return "\n".join([",".join(header)] + [",".join(row) for row in body]) + "\n"
 
 
-def comparison_marks(rows) -> dict:
-    """(group key, metric) -> winning scheme, for disjoint-CI direct/curriculum
-    pairs. A pure function of the cells' means and half-widths."""
-    index: dict[tuple, dict] = {}
-    for row in rows:
-        k = (row.get("corpus", ""), row.get("mode", ""), row.get("target_lang", ""),
-             row["speech_level"], row["metric"])
-        index.setdefault(k, {})[row["scheme"]] = row["cell"]
-    marks = {}
-    for k, pair in index.items():
-        if "direct" in pair and "curriculum" in pair:
-            mark = significant(pair["direct"], pair["curriculum"],
-                               "direct", "curriculum")
-            marks[k] = mark.winner if mark.significant else None
-    return marks
-
-
 def _render_monolingual(rows) -> dict[str, str]:
-    marks = comparison_marks(rows)
     metrics = []
     for row in rows:
         if row["metric"] not in metrics:
             metrics.append(row["metric"])
     grouped: dict[tuple, dict] = {}
-    for row in rows:
+    for row, marked in zip(rows, comparison_marks(rows)):
         key = (row.get("corpus", ""), row["speech_level"], row["scheme"])
-        grouped.setdefault(key, {})[row["metric"]] = row["cell"]
+        grouped.setdefault(key, {})[row["metric"]] = (row["cell"], marked)
 
     md_parts = []
     csv_body = []
@@ -87,11 +69,10 @@ def _render_monolingual(rows) -> dict[str, str]:
             cells = grouped[(corpus, level, scheme)]
             line = [_fmt_level(level), scheme]
             for metric in metrics:
-                cell = cells.get(metric)
-                if cell is None:
+                if metric not in cells:
                     line.append("")
                     continue
-                dagger = marks.get((corpus, "", "", level, metric)) == scheme
+                cell, dagger = cells[metric]
                 line.append(_fmt_cell(cell, dagger))
                 csv_body.append([corpus, _fmt_level(level), scheme, metric,
                                  f"{cell.mean:.6f}",

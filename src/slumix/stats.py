@@ -125,6 +125,26 @@ def significant(a: AggregateCell, b: AggregateCell, a_id: str = "a",
     return ComparisonMark(winner=a_id if a.mean > b.mean else b_id, significant=True)
 
 
+def comparison_marks(rows) -> list[bool]:
+    """For each aggregate row, whether it carries the direct-vs-curriculum mark.
+
+    Rows are compared within one group (corpus, or cross-lingual mode and
+    target language), speech level and metric; the mark goes to the winner
+    of a significant comparison.
+    """
+    def key(row):
+        return (row.get("corpus", ""), row.get("mode", ""), row.get("target_lang", ""),
+                row["speech_level"], row["metric"])
+
+    pairs: dict[tuple, dict] = {}
+    for row in rows:
+        pairs.setdefault(key(row), {})[row["scheme"]] = row["cell"]
+    winners = {k: significant(pair["direct"], pair["curriculum"],
+                              "direct", "curriculum").winner
+               for k, pair in pairs.items() if "direct" in pair and "curriculum" in pair}
+    return [winners.get(key(row)) == row["scheme"] for row in rows]
+
+
 def relative_improvement(base: float, variant: float) -> float:
     """(variant - base) / base; the base must be positive."""
     if base <= 0:

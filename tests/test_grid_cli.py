@@ -5,6 +5,7 @@ import pytest
 from slumix import make_synthetic_corpus, save_corpus
 from slumix.cli import main
 from slumix.grid import (
+    CSV_COLUMNS,
     CrossLingualSpec,
     ExperimentManifest,
     load_manifest,
@@ -118,6 +119,20 @@ class TestRunGrid:
         outcome = run_grid(manifest, tmp_path / "runs")
         assert not outcome.ok
         assert outcome.cells_run == 0
+
+    def test_missing_corpus_fails_each_cell(self, tmp_path):
+        manifest = mini_manifest(tmp_path / "absent.jsonl")
+        outcome = run_grid(manifest, tmp_path / "runs")
+        assert outcome.cells_run == 0
+        assert len(outcome.failures) == 10
+        assert {f["type"] for f in outcome.failures} == {"FileNotFoundError"}
+        assert (tmp_path / "runs" / "aggregate.csv").read_text() == \
+            ",".join(CSV_COLUMNS) + "\n"
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest_to_dict(manifest)))
+        assert main(["grid", "--config", str(manifest_path),
+                     "--out", str(tmp_path / "cli")]) == 1
+        assert (tmp_path / "cli" / "aggregate.csv").exists()
 
 
 @pytest.fixture(scope="module")

@@ -222,13 +222,39 @@ class TestInvariances:
         fuller = [rec("1", gold, lab("s", "t", [("a", "x"), ("b", "y")]))]
         assert entity_prf(fuller)[2] >= entity_prf(partial)[2]
 
-    def test_beyond_exhaustive_limit_matches_oracle(self):
-        # 7 same-type spans per side exercises the Hungarian path
-        rng = random.Random(5)
+    # Square groups of 1-7 spans per side, and every rectangular shape with
+    # 8 spans in all (the oracle's cost grows factorially with the sizes).
+    @pytest.mark.parametrize("n_gold,n_pred", [(n, n) for n in range(1, 8)]
+                             + [(n, 8 - n) for n in range(1, 8) if n != 4])
+    def test_same_type_group_matches_oracle(self, n_gold, n_pred):
+        # Every group size goes through the assignment solver; a repeated
+        # filler on each side gives tied optimal matchings.
+        rng = random.Random(100 * n_gold + n_pred)
         words = ["a", "b", "c", "d", "e"]
-        ents_g = [("t", " ".join(rng.choice(words) for _ in range(2))) for _ in range(7)]
-        ents_p = [("t", " ".join(rng.choice(words) for _ in range(2))) for _ in range(7)]
-        gold, pred = ("s", "v", ents_g), ("s", "v", ents_p)
-        ours = slu_f1([rec("1", to_label(gold), to_label(pred))])
-        ref = ref_evaluate([(gold, pred)])[4]
-        assert ours == pytest.approx(ref, abs=1e-12)
+
+        def spans(n):
+            fillers = [" ".join(rng.choice(words) for _ in range(2)) for _ in range(n)]
+            if n > 1:
+                fillers[-1] = fillers[0]
+            return [("t", f) for f in fillers]
+
+        gold, pred = ("s", "v", spans(n_gold)), ("s", "v", spans(n_pred))
+        report = evaluate([rec("1", to_label(gold), to_label(pred))])
+        _, ref_p, ref_r, _, ref_slu = ref_evaluate([(gold, pred)])
+        assert report.slu_f1 == pytest.approx(ref_slu, abs=1e-12)
+        assert (report.entity_precision, report.entity_recall) == \
+            pytest.approx((ref_p, ref_r), abs=1e-12)
+
+    def test_each_label_normalized_once(self, monkeypatch):
+        records = self._random_records(11)
+        calls = []
+        normalized = SemanticLabel.normalized
+
+        def counting(label):
+            calls.append(id(label))
+            return normalized(label)
+
+        monkeypatch.setattr(SemanticLabel, "normalized", counting)
+        evaluate(records)
+        assert sorted(calls) == sorted(id(label) for r in records
+                                       for label in (r.gold, r.pred))

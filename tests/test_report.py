@@ -1,8 +1,14 @@
+import csv
+
 import pytest
 
 from slumix import AggregateCell, ConfigError, render_report
-from slumix.report import comparison_marks
-from published_table import DAGGERS, METRICS, PUBLISHED_TABLE, published_rows
+from slumix.grid import write_rows_csv
+from slumix.stats import comparison_marks
+from published_table import DAGGERS, published_rows
+
+PUBLISHED_MARKS = {(corpus, level, metric, "curriculum")
+                   for corpus, level, metric in DAGGERS}
 
 
 def xl_row(mode, target, scheme, level, mean, metric="slu_f1", n=5, hw=0.01):
@@ -13,14 +19,18 @@ def xl_row(mode, target, scheme, level, mean, metric="slu_f1", n=5, hw=0.01):
 
 class TestMonolingualStyle:
     def test_dagger_set_matches_published_table(self):
-        marks = comparison_marks(published_rows())
-        for corpus in PUBLISHED_TABLE:
-            for level in PUBLISHED_TABLE[corpus]:
-                for metric in METRICS:
-                    winner = marks[(corpus, "", "", level, metric)]
-                    expected = ("curriculum" if (corpus, level, metric) in DAGGERS
-                                else None)
-                    assert winner == expected, (corpus, level, metric)
+        rows = published_rows()
+        marked = {(r["corpus"], r["speech_level"], r["metric"], r["scheme"])
+                  for r, mark in zip(rows, comparison_marks(rows)) if mark}
+        assert marked == PUBLISHED_MARKS
+
+    def test_aggregate_csv_flags_match_published_table(self, tmp_path):
+        path = tmp_path / "aggregate.csv"
+        write_rows_csv(published_rows(), path)
+        with open(path, encoding="utf-8", newline="") as f:
+            flagged = {(r["corpus"], float(r["speech_level"]), r["metric"], r["scheme"])
+                       for r in csv.DictReader(f) if r["significant"] == "yes"}
+        assert flagged == PUBLISHED_MARKS
 
     def test_markdown_dagger_count(self):
         rendered = render_report(published_rows(), "monolingual")
