@@ -142,10 +142,10 @@ def _cmd_evaluate(args, log: _Log) -> int:
 
 
 def _cmd_aggregate(args, log: _Log) -> int:
-    rows = gridmod.aggregate_results(args.runs)
+    rows, missing = gridmod.aggregate_results(load_manifest(args.config), args.runs)
     write_rows_csv(rows, args.out)
-    log.emit("aggregated", rows=len(rows), out=str(args.out))
-    return 0
+    log.emit("aggregated", rows=len(rows), missing=len(missing), out=str(args.out))
+    return 1 if missing else 0
 
 
 def _cmd_report(args, log: _Log) -> int:
@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("aggregate", help="aggregate grid cell reports to CSV")
+    p = sub.add_parser("aggregate", help="aggregate a manifest's grid cell reports to CSV")
+    p.add_argument("--config", required=True)
     p.add_argument("--runs", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_aggregate)

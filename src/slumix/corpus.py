@@ -198,38 +198,42 @@ def _validate_record(utt: Utterance, path=None, line=None) -> None:
     label = utt.label
     if label.unparseable:
         raise CorpusFormatError(f"record {utt.id!r}: gold label is unparseable", path, line)
-    if not normalize_key(label.scenario) or not normalize_key(label.action):
+    scenario, action = normalize_key(label.scenario), normalize_key(label.action)
+    if not scenario or not action:
         raise CorpusFormatError(
             f"record {utt.id!r}: scenario/action must be non-empty", path, line)
-    for fld in (label.scenario, label.action):
-        if has_delimiter(normalize_key(fld)):
+    for fld, norm in ((label.scenario, scenario), (label.action, action)):
+        if has_delimiter(norm):
             raise CorpusFormatError(
                 f"record {utt.id!r}: delimiter character in intent field {fld!r}",
                 path, line)
     for ent in label.entities:
-        if not normalize_key(ent.etype) or not normalize_filler(ent.filler):
+        etype, filler = normalize_key(ent.etype), normalize_filler(ent.filler)
+        if not etype or not filler:
             raise CorpusFormatError(
                 f"record {utt.id!r}: entity type/filler must be non-empty", path, line)
-        if has_delimiter(normalize_key(ent.etype)) or has_delimiter(normalize_filler(ent.filler)):
+        if has_delimiter(etype) or has_delimiter(filler):
             raise CorpusFormatError(
                 f"record {utt.id!r}: delimiter character in entity {ent!r}", path, line)
 
 
-def validate_corpus(corpus: Corpus, require_same_lang: bool = True) -> None:
-    """Check corpus invariants: unique ids, valid splits/labels, one language.
-
-    Combined multilingual training corpora use lang "mul" and skip the
-    same-language check.
-    """
+def _check_ids_and_lang(corpus: Corpus) -> None:
     seen: set[str] = set()
     for utt in corpus.records:
-        _validate_record(utt)
         if utt.id in seen:
             raise CorpusFormatError(f"duplicate record id {utt.id!r}")
         seen.add(utt.id)
-        if require_same_lang and corpus.lang != "mul" and utt.lang != corpus.lang:
+        if corpus.lang != "mul" and utt.lang != corpus.lang:
             raise CorpusFormatError(
                 f"record {utt.id!r}: lang {utt.lang!r} != corpus lang {corpus.lang!r}")
+
+
+def validate_corpus(corpus: Corpus) -> None:
+    """Check corpus invariants: valid splits/labels, unique ids, one language
+    (combined multilingual corpora use lang "mul" and skip that check)."""
+    for utt in corpus.records:
+        _validate_record(utt)
+    _check_ids_and_lang(corpus)
 
 
 def _map_split(raw: str, path, line) -> str:
@@ -379,9 +383,9 @@ def load_corpus(path, profile: str = "canonical", *, name: Optional[str] = None,
         raise CorpusFormatError(f"unknown profile {profile!r} (expected one of {PROFILES})")
     if not records:
         raise CorpusFormatError("empty corpus file", path)
-    lang = records[0].lang
-    corpus = Corpus(name=name or str(path), lang=lang, records=records)
-    validate_corpus(corpus)
+    # The readers validated each record, with its path and line.
+    corpus = Corpus(name=name or str(path), lang=records[0].lang, records=records)
+    _check_ids_and_lang(corpus)
     return corpus
 
 

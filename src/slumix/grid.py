@@ -5,10 +5,11 @@ grids run every (corpus, scheme, speech level, seed) cell; cross-lingual
 grids run (mode, source speech level, seed) cells over combined corpora and
 evaluate each target language's test split separately.
 
-Cells are content-addressed by a hash of the manifest settings that affect
-them, so an interrupted grid resumes by skipping finished cells. Every cell
-persists ``plan.json``, ``model.json``, ``preds.jsonl`` and ``report.json``
-under ``runs/<cell_id>/``; aggregation re-reads the reports, so two runs of
+Each cell is keyed by a hash of its own inputs (the contents of the corpus
+files it reads included), so an interrupted or extended grid skips the cells
+it finished before. Every cell persists ``plan.json``, ``model.json``,
+``preds.jsonl``, ``report.json`` and ``meta.json`` under ``runs/<cell_id>/``;
+aggregation re-reads the reports of the manifest's cells only, so two runs of
 one manifest produce byte-identical aggregate CSVs.
 """
 
@@ -19,10 +20,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import re
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .corpus import (
     Corpus,
@@ -121,13 +124,7 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
         "sim": dict(manifest.sim),
     }
     if manifest.crosslingual is not None:
-        obj["crosslingual"] = {
-            "source": manifest.crosslingual.source,
-            "targets": list(manifest.crosslingual.targets),
-            "modes": list(manifest.crosslingual.modes),
-            "massive": list(manifest.crosslingual.massive),
-            "fewshot_pairs": manifest.crosslingual.fewshot_pairs,
-        }
+        obj["crosslingual"] = dataclasses.asdict(manifest.crosslingual)
     return obj
 
 
@@ -195,9 +192,8 @@ def sim_from_config(cfg: dict, seed: int) -> SpeechSimConfig:
     return SpeechSimConfig(seed=derive_seed(seed, "speech-sim"), **cfg)
 
 
-def _cell_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+# Part of every cell hash: bump it when a cell's outputs change for the same inputs.
+CELL_FORMAT = 1
 
 
 def _fmt_level(level: float) -> str:
@@ -221,12 +217,9 @@ def predict_records(model, records, sim: SpeechSimConfig,
     token_seqs = [simulate_speech(utt.text, sim)
                   if utt.has_speech and not oracle_transcripts else tokenize(utt.text)
                   for utt in records]
-    rows = []
-    for utt, pred in zip(records, predict_many(model, token_seqs)):
-        pred_raw = "" if pred.unparseable else serialize_label(pred)
-        rows.append({"utt_id": utt.id, "gold": utt.label.to_dict(),
-                     "pred_raw": pred_raw})
-    return rows
+    return [{"utt_id": utt.id, "gold": utt.label.to_dict(),
+             "pred_raw": "" if pred.unparseable else serialize_label(pred)}
+            for utt, pred in zip(records, predict_many(model, token_seqs))]
 
 
 def score_prediction_rows(rows) -> MetricReport:
@@ -252,80 +245,127 @@ def make_plan_for_corpus(corpus: Corpus, scheme: str, level: float, seed: int,
     return build_plan(config, text_ids, ordering)
 
 
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2),
+                    encoding="utf-8")
+
+
 def _write_cell(cell_dir: Path, plan, model, pred_rows, report, meta) -> None:
+    """Write each file to a temporary file, then ``os.replace`` it into place.
+    ``meta.json`` is removed first and replaced last, so no ``meta.json``
+    vouches for half-written files."""
     cell_dir.mkdir(parents=True, exist_ok=True)
-    save_plan(plan, cell_dir / "plan.json")
-    save_model(model, cell_dir / "model.json")
-    with open(cell_dir / "preds.jsonl", "w", encoding="utf-8") as f:
-        for row in pred_rows:
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-    with open(cell_dir / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, ensure_ascii=False, sort_keys=True, indent=2)
-    with open(cell_dir / "meta.json", "w", encoding="utf-8") as f:
-        json.dump(meta, f, ensure_ascii=False, sort_keys=True, indent=2)
+    (cell_dir / "meta.json").unlink(missing_ok=True)
+    preds = "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+                    for row in pred_rows)
+    for name, write in (("plan.json", lambda path: save_plan(plan, path)),
+                        ("model.json", lambda path: save_model(model, path)),
+                        ("preds.jsonl", lambda path: path.write_text(preds, encoding="utf-8")),
+                        ("report.json", lambda path: _write_json(path, report)),
+                        ("meta.json", lambda path: _write_json(path, meta))):
+        write(cell_dir / f"{name}.tmp")
+        os.replace(cell_dir / f"{name}.tmp", cell_dir / name)
 
 
-def _cell_is_done(cell_dir: Path, cell_hash: str) -> bool:
-    meta_path = cell_dir / "meta.json"
-    if not meta_path.exists() or not (cell_dir / "report.json").exists():
-        return False
+def _read_cell(cell_dir: Path, cell_hash: str) -> Optional[tuple[dict, dict]]:
+    """(meta, report) if both parse and the meta's hash is ``cell_hash``, else None."""
     try:
-        with open(meta_path, "r", encoding="utf-8") as f:
-            return json.load(f).get("cell_hash") == cell_hash
-    except (OSError, json.JSONDecodeError):
-        return False
+        meta = json.loads((cell_dir / "meta.json").read_text(encoding="utf-8"))
+        if not isinstance(meta, dict) or meta.get("cell_hash") != cell_hash:
+            return None
+        return meta, json.loads((cell_dir / "report.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
 
 
 @dataclass
-class GridOutcome:
-    cells_run: int = 0
-    cells_skipped: int = 0
-    failures: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+class _Cell:
+    """One cell of a grid: its directory name and what it is computed from."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    cell_id: str
+    key: dict  # identity fields of meta.json: corpus and scheme, or mode
+    level: float
+    seed: int
 
 
-def _mono_cells(manifest: ExperimentManifest):
-    for corpus_name in sorted(manifest.corpora):
-        for scheme in manifest.schemes:
-            levels = (0.0,) if scheme == "text_only" else manifest.speech_levels
-            for level in levels:
-                for seed in manifest.seeds:
-                    yield corpus_name, scheme, level, seed
+def _grid_cells(manifest: ExperimentManifest) -> list[_Cell]:
+    """Every cell the manifest enumerates, in run and aggregation order."""
+    xl = manifest.crosslingual
+    if xl is None:
+        return [_Cell(f"{_safe_name(name)}__{scheme}__p{_fmt_level(level)}__s{seed}",
+                      {"corpus": name, "scheme": scheme}, level, seed)
+                for name in sorted(manifest.corpora) for scheme in manifest.schemes
+                for level in ((0.0,) if scheme == "text_only" else manifest.speech_levels)
+                for seed in manifest.seeds]
+    levels = tuple(dict.fromkeys((0.0,) + manifest.speech_levels))
+    return [_Cell(f"xl__{mode}__p{_fmt_level(level)}__s{seed}", {"mode": mode}, level, seed)
+            for mode in xl.modes
+            for level in ((0.0,) if mode.startswith("no_source_") else levels)
+            for seed in manifest.seeds]
 
 
-def _run_mono_cell(manifest: ExperimentManifest, corpora: Callable[[str], Corpus],
-                   out_dir: Path, corpus_name: str, scheme: str, level: float, seed: int,
-                   manifest_hash: str) -> tuple[str, bool]:
-    cell_id = f"{_safe_name(corpus_name)}__{scheme}__p{_fmt_level(level)}__s{seed}"
-    cell_hash = _cell_hash({
-        "manifest": manifest_hash, "corpus": corpus_name, "scheme": scheme,
-        "level": _fmt_level(level), "seed": seed,
-    })
-    cell_dir = out_dir / cell_id
-    if _cell_is_done(cell_dir, cell_hash):
-        return cell_id, False
-    corpus = corpora(corpus_name)
-    plan = make_plan_for_corpus(corpus, scheme, level, seed, manifest.epochs)
+class _GridInputs:
+    """One run's corpus files: content digest and loaded corpus, each on first use."""
+
+    def __init__(self, manifest: ExperimentManifest):
+        self.manifest = manifest
+        self.corpus = functools.cache(
+            lambda name: load_corpus(manifest.corpora[name], "canonical", name=name))
+        self.digest = functools.cache(lambda name: hashlib.sha256(
+            Path(manifest.corpora[name]).read_bytes()).hexdigest())
+
+    def cell_hash(self, cell: _Cell) -> str:
+        """SHA-256 of exactly the inputs the cell's outputs depend on."""
+        m, xl = self.manifest, self.manifest.crosslingual
+        payload = {"format": CELL_FORMAT, **cell.key, "level": _fmt_level(cell.level),
+                   "seed": cell.seed, "epochs": m.epochs, "recipe": m.recipe, "sim": m.sim}
+        if xl is None:
+            reads = (cell.key["corpus"],)
+        else:
+            reads = (xl.source, *xl.targets, *xl.massive)
+            payload.update(source=xl.source, targets=xl.targets, massive=xl.massive,
+                           fewshot_pairs=xl.fewshot_pairs)
+        payload["corpora"] = {name: self.digest(name) for name in reads}
+        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
+              cell: _Cell, build) -> tuple[str, bool]:
+    """Skip a finished cell; otherwise plan, train, predict and score each
+    eval target, and write the cell. ``build()`` returns the training corpus,
+    its scheme, the speech level to plan at and the eval target corpora."""
+    cell_hash = inputs.cell_hash(cell)
+    cell_dir = out_dir / cell.cell_id
+    if _read_cell(cell_dir, cell_hash) is not None:
+        return cell.cell_id, False
+    corpus, scheme, plan_level, targets = build()
+    plan = make_plan_for_corpus(corpus, scheme, plan_level, cell.seed, manifest.epochs)
     recipe = recipe_from_config(manifest.recipe, scheme, manifest.epochs)
-    sim = sim_from_config(manifest.sim, seed)
+    sim = sim_from_config(manifest.sim, cell.seed)
     model = train(plan, corpus, recipe, sim)
-    pred_rows = predict_records(model, eval_records(corpus), sim)
-    report = score_prediction_rows(pred_rows)
-    meta = {
-        "cell_hash": cell_hash, "corpus": corpus_name, "scheme": scheme,
-        "speech_level": level, "seed": seed, "plan_totals": plan_totals(plan),
-        "train_log": model.train_log,
-    }
-    _write_cell(cell_dir, plan, model, pred_rows, report_to_dict(report), meta)
-    return cell_id, True
+    xl = manifest.crosslingual is not None
+    reports, pred_rows = {}, []
+    for target in targets:
+        rows = predict_records(model, eval_records(target), sim)
+        reports[target.lang] = report_to_dict(score_prediction_rows(rows))
+        pred_rows += [{"target_lang": target.lang, **row} for row in rows] if xl else rows
+    report = ({"kind": "crosslingual_report", "scheme": scheme, "per_target": reports}
+              if xl else reports[corpus.lang])
+    meta = {**cell.key, "cell_hash": cell_hash, "scheme": scheme,
+            "speech_level": cell.level, "seed": cell.seed,
+            "plan_totals": plan_totals(plan), "train_log": model.train_log}
+    _write_cell(cell_dir, plan, model, pred_rows, report, meta)
+    return cell.cell_id, True
 
 
-def _xl_scheme(combined: Corpus) -> str:
-    return "curriculum" if any(r.has_speech for r in combined.records) else "text_only"
+def _run_mono_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
+                   corpus_name: str, scheme: str, level: float, seed: int,
+                   cell: _Cell) -> tuple[str, bool]:
+    def build():
+        corpus = inputs.corpus(corpus_name)
+        return corpus, scheme, level, [corpus]
+    return _run_cell(manifest, inputs, out_dir, cell, build)
 
 
 def _restrict_source_speech(source: Corpus, level: float, seed: int) -> Corpus:
@@ -343,137 +383,91 @@ def _restrict_source_speech(source: Corpus, level: float, seed: int) -> Corpus:
     return Corpus(name=source.name, lang=source.lang, records=records)
 
 
-def _xl_cells(manifest: ExperimentManifest):
-    xl = manifest.crosslingual
-    for mode in xl.modes:
-        levels = ((0.0,) if mode.startswith("no_source_")
-                  else tuple(dict.fromkeys((0.0,) + manifest.speech_levels)))
-        for level in levels:
-            for seed in manifest.seeds:
-                yield mode, level, seed
+def _run_xl_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
+                 mode: str, level: float, seed: int, cell: _Cell) -> tuple[str, bool]:
+    def build():
+        xl = manifest.crosslingual
+        source = _restrict_source_speech(inputs.corpus(xl.source), level, seed)
+        targets = [inputs.corpus(name) for name in xl.targets]
+        massive = [inputs.corpus(name) for name in xl.massive]
+        combined = make_crosslingual_corpus(
+            source, targets, massive or None, mode,
+            fewshot_pairs=xl.fewshot_pairs, seed=derive_seed(seed, "fewshot-selection"))
+        scheme = "curriculum" if any(r.has_speech for r in combined.records) else "text_only"
+        # All speech surviving the source-level restriction is used every epoch.
+        return combined, scheme, 1.0, targets
+    return _run_cell(manifest, inputs, out_dir, cell, build)
 
 
-def _run_xl_cell(manifest: ExperimentManifest, corpora: Callable[[str], Corpus],
-                 out_dir: Path, mode: str, level: float, seed: int,
-                 manifest_hash: str) -> tuple[str, bool]:
-    xl = manifest.crosslingual
-    cell_id = f"xl__{mode}__p{_fmt_level(level)}__s{seed}"
-    cell_hash = _cell_hash({
-        "manifest": manifest_hash, "mode": mode,
-        "level": _fmt_level(level), "seed": seed,
-    })
-    cell_dir = out_dir / cell_id
-    if _cell_is_done(cell_dir, cell_hash):
-        return cell_id, False
-    source = _restrict_source_speech(corpora(xl.source), level, seed)
-    targets = [corpora(name) for name in xl.targets]
-    massive = [corpora(name) for name in xl.massive]
-    combined = make_crosslingual_corpus(
-        source, targets, massive or None, mode,
-        fewshot_pairs=xl.fewshot_pairs, seed=derive_seed(seed, "fewshot-selection"))
-    scheme = _xl_scheme(combined)
-    # All speech surviving the source-level restriction is used every epoch.
-    plan = make_plan_for_corpus(combined, scheme, 1.0, seed, manifest.epochs)
-    recipe = recipe_from_config(manifest.recipe, scheme, manifest.epochs)
-    sim = sim_from_config(manifest.sim, seed)
-    model = train(plan, combined, recipe, sim)
+@dataclass
+class GridOutcome:
+    cells_run: int = 0
+    cells_skipped: int = 0
+    failures: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
 
-    per_target = {}
-    pred_rows_all = []
-    for target in targets:
-        rows = predict_records(model, eval_records(target), sim)
-        per_target[target.lang] = report_to_dict(score_prediction_rows(rows))
-        pred_rows_all.extend({"target_lang": target.lang, **row} for row in rows)
-    report = {"kind": "crosslingual_report", "scheme": scheme, "per_target": per_target}
-    meta = {
-        "cell_hash": cell_hash, "mode": mode, "speech_level": level, "seed": seed,
-        "scheme": scheme, "plan_totals": plan_totals(plan),
-        "train_log": model.train_log,
-    }
-    _write_cell(cell_dir, plan, model, pred_rows_all, report, meta)
-    return cell_id, True
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def run_grid(manifest: ExperimentManifest, out_dir) -> GridOutcome:
-    """Run every cell (skipping finished ones), then aggregate to CSV.
+    """Run every cell of the manifest (skipping finished ones), then
+    aggregate its cells to CSV.
 
-    Any exception in a cell is recorded as that cell's failure (type and
-    message) and the grid continues; the outcome carries the failure list so
-    callers can exit nonzero. Each corpus is loaded once, on first use.
+    Any exception in a cell is recorded as that cell's failure (type, message
+    and traceback) and the grid continues; the outcome carries the failure
+    list so callers can exit nonzero. Each corpus is loaded once, on first use.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_hash = _cell_hash(manifest_to_dict(manifest))
-    corpora = functools.cache(
-        lambda name: load_corpus(manifest.corpora[name], "canonical", name=name))
+    inputs = _GridInputs(manifest)
+    runner = _run_mono_cell if manifest.crosslingual is None else _run_xl_cell
     outcome = GridOutcome()
-    if manifest.crosslingual is None:
-        cells = [("mono", c) for c in _mono_cells(manifest)]
-    else:
-        cells = [("xl", c) for c in _xl_cells(manifest)]
-    for kind, cell in cells:
+    for cell in _grid_cells(manifest):
         try:
-            if kind == "mono":
-                _, ran = _run_mono_cell(manifest, corpora, out, *cell,
-                                        manifest_hash=manifest_hash)
-            else:
-                _, ran = _run_xl_cell(manifest, corpora, out, *cell,
-                                      manifest_hash=manifest_hash)
+            _, ran = runner(manifest, inputs, out, *cell.key.values(), cell.level, cell.seed,
+                            cell)
             outcome.cells_run += int(ran)
             outcome.cells_skipped += int(not ran)
         except Exception as exc:
-            outcome.failures.append({"cell": repr(cell), "type": type(exc).__name__,
-                                     "error": str(exc)})
-    outcome.rows = aggregate_results(out)
+            outcome.failures.append({"cell": cell.cell_id, "type": type(exc).__name__,
+                                     "error": str(exc), "traceback": traceback.format_exc()})
+    outcome.rows, _ = aggregate_results(manifest, out)
     write_rows_csv(outcome.rows, out / "aggregate.csv")
     return outcome
 
 
-def _collect_cell_meta(out_dir: Path):
-    for meta_path in sorted(out_dir.glob("*/meta.json")):
-        with open(meta_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
-        report_path = meta_path.parent / "report.json"
-        if not report_path.exists():
-            continue
-        with open(report_path, "r", encoding="utf-8") as f:
-            yield meta, json.load(f)
-
-
-def _aggregate_group(key: dict, seed_reports) -> list[dict]:
-    rows = []
-    runs = [SeedRun(seed=s, report=report_from_dict(rep)) for s, rep in seed_reports]
-    for metric in REPORTED_METRICS:
-        cell = aggregate(runs, metric, allow_single=True)
-        rows.append({**key, "metric": metric, "cell": cell})
-    return rows
-
-
-def aggregate_results(out_dir) -> list[dict]:
-    """One row per (group, metric): mean, CI half-width and n."""
+def aggregate_results(manifest: ExperimentManifest, out_dir) -> tuple[list[dict], list[str]]:
+    """One row per (group, metric) over the manifest's finished cells: mean,
+    CI half-width and n; and the ids of the manifest's cells not finished
+    under their current inputs. Nothing else in ``out_dir`` is read."""
     out_dir = Path(out_dir)
-    groups: dict[tuple, list] = {}
-    for meta, report in _collect_cell_meta(out_dir):
-        if "mode" in meta:
-            for lang, rep in report["per_target"].items():
-                key = (meta["mode"], lang, meta["scheme"], meta["speech_level"])
-                groups.setdefault(("xl",) + key, []).append((meta["seed"], rep))
-        else:
-            key = (meta["corpus"], meta["scheme"], meta["speech_level"])
-            groups.setdefault(("mono",) + key, []).append((meta["seed"], report))
+    inputs = _GridInputs(manifest)
+    groups: dict[tuple, tuple[dict, list]] = {}
+    missing = []
+    for cell in _grid_cells(manifest):
+        try:
+            done = _read_cell(out_dir / cell.cell_id, inputs.cell_hash(cell))
+        except OSError:
+            done = None
+        if done is None:
+            missing.append(cell.cell_id)
+            continue
+        meta, report = done
+        per_target = report["per_target"] if manifest.crosslingual is not None else {"": report}
+        for lang, rep in per_target.items():
+            key = {"corpus": "", "mode": "", "target_lang": lang, **cell.key,
+                   "scheme": meta["scheme"], "speech_level": cell.level}
+            groups.setdefault(tuple(key.values()), (key, []))[1].append(
+                SeedRun(seed=cell.seed, report=report_from_dict(rep)))
     rows = []
     for gkey in sorted(groups, key=repr):
-        seed_reports = sorted(groups[gkey], key=lambda sr: sr[0])
-        if gkey[0] == "mono":
-            _, corpus, scheme, level = gkey
-            key = {"corpus": corpus, "mode": "", "target_lang": "",
-                   "scheme": scheme, "speech_level": level}
-        else:
-            _, mode, lang, scheme, level = gkey
-            key = {"corpus": "", "mode": mode, "target_lang": lang,
-                   "scheme": scheme, "speech_level": level}
-        rows.extend(_aggregate_group(key, seed_reports))
-    return rows
+        key, runs = groups[gkey]
+        runs.sort(key=lambda run: run.seed)
+        rows += [{**key, "metric": metric, "cell": aggregate(runs, metric, allow_single=True)}
+                 for metric in REPORTED_METRICS]
+    return rows, missing
 
 
 def write_rows_csv(rows, path) -> None:

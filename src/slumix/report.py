@@ -2,9 +2,10 @@
 
 Three styles:
 
-* ``monolingual``       -- mean ± half-width per (level, scheme, metric), with
-                           a dagger on the scheme whose 95% CI beats the other
-                           scheme's CI outright at that level.
+* ``monolingual``       -- mean ± half-width per (level, scheme, metric), one
+                           table per corpus (or cross-lingual mode/target),
+                           with a dagger on the scheme whose 95% CI beats the
+                           other scheme's CI outright at that level.
 * ``zeroshot_relative`` -- per-target relative SLU-F1 improvement over the
                            text-only (0% speech) baseline.
 * ``fewshot``           -- SLU-F1 per (source speech level, scheme, target
@@ -53,20 +54,19 @@ def _render_monolingual(rows) -> dict[str, str]:
     for row in rows:
         if row["metric"] not in metrics:
             metrics.append(row["metric"])
-    grouped: dict[tuple, dict] = {}
+    # One table per group of stats.comparison_marks: corpus, or mode and target.
+    tables: dict[tuple, dict] = {}
     for row, marked in zip(rows, comparison_marks(rows)):
-        key = (row.get("corpus", ""), row["speech_level"], row["scheme"])
-        grouped.setdefault(key, {})[row["metric"]] = (row["cell"], marked)
+        group = (row.get("corpus", ""), row.get("mode", ""), row.get("target_lang", ""))
+        cells = tables.setdefault(group, {}).setdefault((row["speech_level"], row["scheme"]), {})
+        cells[row["metric"]] = (row["cell"], marked)
 
     md_parts = []
     csv_body = []
-    corpora = sorted({k[0] for k in grouped})
-    for corpus in corpora:
+    for group in sorted(tables):
+        name = "/".join(part for part in group if part)
         body = []
-        keys = sorted((k for k in grouped if k[0] == corpus),
-                      key=lambda k: (k[1], k[2]))
-        for _, level, scheme in keys:
-            cells = grouped[(corpus, level, scheme)]
+        for (level, scheme), cells in sorted(tables[group].items(), key=lambda kv: kv[0]):
             line = [_fmt_level(level), scheme]
             for metric in metrics:
                 if metric not in cells:
@@ -74,12 +74,12 @@ def _render_monolingual(rows) -> dict[str, str]:
                     continue
                 cell, dagger = cells[metric]
                 line.append(_fmt_cell(cell, dagger))
-                csv_body.append([corpus, _fmt_level(level), scheme, metric,
+                csv_body.append([name, _fmt_level(level), scheme, metric,
                                  f"{cell.mean:.6f}",
                                  "" if cell.half_width is None else f"{cell.half_width:.6f}",
                                  str(cell.n), "yes" if dagger else ""])
             body.append(line)
-        title = f"## {corpus}\n\n" if corpus else ""
+        title = f"## {name}\n\n" if name else ""
         md_parts.append(title + _markdown_table(["Speech", "Scheme"] + list(metrics), body))
     return {
         "markdown": "\n".join(md_parts),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import slumix.corpus
 from conftest import make_corpus, make_utt
 from slumix import (
     Corpus,
@@ -9,9 +10,11 @@ from slumix import (
     corpus_stats,
     filter_split,
     load_corpus,
+    make_synthetic_corpus,
     save_corpus,
     speech_items,
     text_items,
+    validate_corpus,
 )
 
 
@@ -56,6 +59,35 @@ class TestCanonicalProfile:
         write_jsonl(path, [canonical_row("u1"), canonical_row("u1")])
         with pytest.raises(CorpusFormatError, match="duplicate"):
             load_corpus(path, "canonical")
+
+    def test_mixed_languages_rejected(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        write_jsonl(path, [canonical_row("u1"), canonical_row("u2", lang="de")])
+        with pytest.raises(CorpusFormatError, match="corpus lang"):
+            load_corpus(path, "canonical")
+
+    def test_validate_corpus_checks_records_and_ids(self):
+        bad = Corpus(name="c", lang="en", records=[make_utt("u1", "play x", "music|x")])
+        with pytest.raises(CorpusFormatError, match="delimiter character in intent"):
+            validate_corpus(bad)
+        dup = Corpus(name="c", lang="en", records=[make_utt("u1", "a"), make_utt("u1", "b")])
+        with pytest.raises(CorpusFormatError, match="duplicate"):
+            validate_corpus(dup)
+
+    def test_each_label_field_normalized_at_most_twice(self, tmp_path, monkeypatch):
+        path = tmp_path / "syn.jsonl"
+        save_corpus(make_synthetic_corpus(200), path)
+        calls = []
+        normalize_space = slumix.corpus.normalize_space
+
+        def counting(value):
+            calls.append(value)
+            return normalize_space(value)
+
+        monkeypatch.setattr(slumix.corpus, "normalize_space", counting)
+        corpus = load_corpus(path, "canonical")
+        fields = sum(2 + 2 * len(r.label.entities) for r in corpus.records)
+        assert 0 < len(calls) <= 2 * fields
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -1,7 +1,9 @@
 import json
+import shutil
 
 import pytest
 
+import slumix.grid
 from slumix import make_synthetic_corpus, save_corpus
 from slumix.cli import main
 from slumix.grid import (
@@ -135,6 +137,88 @@ class TestRunGrid:
         assert (tmp_path / "cli" / "aggregate.csv").exists()
 
 
+class TestCellIdentity:
+    """A cell is keyed by its own inputs; aggregation covers the manifest's cells."""
+
+    def test_narrowed_manifest_runs_nothing_and_pools_its_seeds(self, syn_path, tmp_path):
+        run_grid(mini_manifest(syn_path, seeds=(1, 2, 3)), tmp_path / "runs")
+        narrowed = run_grid(mini_manifest(syn_path), tmp_path / "runs")
+        assert (narrowed.cells_run, narrowed.cells_skipped) == (0, 10)
+        assert {r["cell"].n for r in narrowed.rows} == {2}
+        assert {r["cell"].n for r in read_rows_csv(tmp_path / "runs" / "aggregate.csv")} == {2}
+        # New sim settings rerun seeds 1 and 2 and never pool the old seed-3 cells.
+        changed = run_grid(mini_manifest(syn_path, sim={"substitution_rate": 0.3}),
+                           tmp_path / "runs")
+        assert changed.cells_run == 10
+        assert {r["cell"].n for r in changed.rows} == {2}
+
+    def test_added_seed_runs_only_its_cells(self, syn_path, tmp_path):
+        run_grid(mini_manifest(syn_path), tmp_path / "runs")
+        before = {p.parent.name: p.read_bytes()
+                  for p in (tmp_path / "runs").glob("*/meta.json")}
+        extended = run_grid(mini_manifest(syn_path, seeds=(1, 2, 3)), tmp_path / "runs")
+        assert (extended.cells_run, extended.cells_skipped) == (5, 10)
+        assert {r["cell"].n for r in extended.rows} == {3}
+        for cell_id, meta in before.items():
+            assert (tmp_path / "runs" / cell_id / "meta.json").read_bytes() == meta
+
+    def test_edited_corpus_reruns_its_cells(self, syn_path, tmp_path):
+        edited = tmp_path / "edited.jsonl"
+        shutil.copyfile(syn_path, edited)
+        manifest = mini_manifest(syn_path, corpora={"a": str(syn_path), "b": str(edited)},
+                                 seeds=(1,), speech_levels=(0.1,))
+        assert run_grid(manifest, tmp_path / "runs").cells_run == 6
+        save_corpus(make_synthetic_corpus(300, seed=1), edited)
+        again = run_grid(manifest, tmp_path / "runs")
+        assert (again.cells_run, again.cells_skipped) == (3, 3)
+        # The rerun cells are those of the edited corpus, and match a fresh run.
+        fresh = run_grid(manifest, tmp_path / "fresh")
+        for cell_dir in sorted((tmp_path / "fresh").glob("b__*")):
+            assert (tmp_path / "runs" / cell_dir.name / "report.json").read_bytes() == \
+                (cell_dir / "report.json").read_bytes()
+        assert (tmp_path / "runs" / "aggregate.csv").read_bytes() == \
+            (tmp_path / "fresh" / "aggregate.csv").read_bytes()
+
+    def test_truncated_report_is_rerun(self, syn_path, tmp_path):
+        manifest = mini_manifest(syn_path)
+        run_grid(manifest, tmp_path / "runs")
+        report = tmp_path / "runs" / "syn__direct__p0.1__s1" / "report.json"
+        whole = report.read_bytes()
+        report.write_bytes(whole[:len(whole) // 2])
+        again = run_grid(manifest, tmp_path / "runs")
+        assert (again.cells_run, again.cells_skipped) == (1, 9)
+        assert report.read_bytes() == whole
+
+    def test_interrupted_rewrite_is_done_under_no_hash(self, syn_path, tmp_path,
+                                                       monkeypatch):
+        manifest = mini_manifest(syn_path, schemes=("direct",), speech_levels=(0.1,),
+                                 seeds=(1,))
+        cell_dir = tmp_path / "runs" / "syn__direct__p0.1__s1"
+        run_grid(manifest, tmp_path / "runs")
+        assert sorted(p.name for p in cell_dir.iterdir()) == [
+            "meta.json", "model.json", "plan.json", "preds.jsonl", "report.json"]
+
+        def interrupted(model, path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(slumix.grid, "save_model", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(mini_manifest(syn_path, schemes=("direct",), speech_levels=(0.1,),
+                                   seeds=(1,), epochs=3), tmp_path / "runs")
+        assert not (cell_dir / "meta.json").exists()
+        monkeypatch.undo()
+        # plan.json now holds the 3-epoch plan, so the 2-epoch cell must rerun.
+        assert run_grid(manifest, tmp_path / "runs").cells_run == 1
+
+    def test_failure_records_traceback(self, tmp_path):
+        outcome = run_grid(mini_manifest(tmp_path / "absent.jsonl", seeds=(1,)),
+                           tmp_path / "runs")
+        failure = outcome.failures[0]
+        assert failure["cell"] == "syn__text_only__p0__s1"
+        assert failure["traceback"].startswith("Traceback")
+        assert "FileNotFoundError" in failure["traceback"]
+
+
 @pytest.fixture(scope="module")
 def xl_setup(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("xl")
@@ -175,6 +259,29 @@ class TestCrossLingualGrid:
                  for p in (tmp / "runs").glob("xl__zero_shot*/meta.json")]
         by_level = {m["speech_level"]: m["scheme"] for m in metas}
         assert by_level == {0.0: "text_only", 0.1: "curriculum"}
+
+
+def test_crosslingual_added_seed_runs_only_its_cells(xl_setup, tmp_path):
+    tmp, _ = xl_setup
+    shutil.copytree(tmp / "runs", tmp_path / "runs")
+    manifest = ExperimentManifest(
+        corpora={"fr": str(tmp / "fr.jsonl"), "de": str(tmp / "de.jsonl"),
+                 "ko": str(tmp / "ko.jsonl")},
+        schemes=("text_only", "curriculum"),
+        speech_levels=(0.1,),
+        seeds=(1, 2),
+        epochs=2,
+        recipe={"profile": "desk"},
+        sim={"substitution_rate": 0.1, "deletion_rate": 0.1},
+        crosslingual=CrossLingualSpec(source="fr", targets=("de", "ko"),
+                                      modes=("zero_shot", "T", "T_S"),
+                                      fewshot_pairs=8),
+    )
+    outcome = run_grid(manifest, tmp_path / "runs")
+    assert outcome.ok
+    assert (outcome.cells_run, outcome.cells_skipped) == (6, 6)
+    assert {r["cell"].n for r in outcome.rows} == {2}
+    assert {r["target_lang"] for r in outcome.rows} == {"de", "ko"}
 
 
 class TestCli:
@@ -233,9 +340,11 @@ class TestCli:
 
     def test_aggregate_and_report_commands(self, syn_path, tmp_path):
         out = tmp_path / "runs"
-        run_grid(mini_manifest(syn_path, seeds=(1, 2), speech_levels=(0.1,)),
-                 out)
-        assert main(["aggregate", "--runs", str(out),
+        manifest = mini_manifest(syn_path, seeds=(1, 2), speech_levels=(0.1,))
+        run_grid(manifest, out)
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest_to_dict(manifest)))
+        assert main(["aggregate", "--config", str(manifest_path), "--runs", str(out),
                      "--out", str(tmp_path / "agg.csv")]) == 0
         assert (tmp_path / "agg.csv").read_bytes() == \
             (out / "aggregate.csv").read_bytes()
@@ -244,6 +353,19 @@ class TestCli:
                      "--out-prefix", str(tmp_path / "table")]) == 0
         assert (tmp_path / "table.md").exists()
         assert (tmp_path / "table.csv").exists()
+
+    def test_aggregate_command_reports_missing_cells(self, syn_path, tmp_path, capsys):
+        out = tmp_path / "runs"
+        run_grid(mini_manifest(syn_path, seeds=(1,)), out)
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest_to_dict(mini_manifest(syn_path))))
+        capsys.readouterr()
+        assert main(["--json", "aggregate", "--config", str(manifest_path),
+                     "--runs", str(out), "--out", str(tmp_path / "agg.csv")]) == 1
+        logged = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert logged["event"] == "aggregated"
+        assert logged["missing"] == 5
+        assert {r["cell"].n for r in read_rows_csv(tmp_path / "agg.csv")} == {1}
 
     def test_empty_predictions_exit_1(self, syn_path, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

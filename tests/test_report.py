@@ -50,6 +50,19 @@ class TestMonolingualStyle:
         assert "0.5000" in rendered["markdown"]
         assert "±" not in rendered["markdown"]
 
+    def test_crosslingual_rows_get_one_table_per_mode_and_target(self):
+        rows = [xl_row("T_S", "de", "curriculum", 0.1, 0.61),
+                xl_row("T_S", "ko", "curriculum", 0.1, 0.42)]
+        rendered = render_report(rows, "monolingual")
+        assert "## T_S/de" in rendered["markdown"]
+        assert "## T_S/ko" in rendered["markdown"]
+        assert "0.6100 ± 0.0100" in rendered["markdown"]
+        assert "0.4200 ± 0.0100" in rendered["markdown"]
+        assert rendered["csv"].splitlines()[1:] == [
+            "T_S/de,10%,curriculum,slu_f1,0.610000,0.010000,5,",
+            "T_S/ko,10%,curriculum,slu_f1,0.420000,0.010000,5,",
+        ]
+
 
 class TestZeroShotRelativeStyle:
     def test_published_ratio(self):
