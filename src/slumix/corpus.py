@@ -28,8 +28,8 @@ _SPLIT_ALIASES = {"train": "train", "dev": "dev", "validation": "dev", "val": "d
                   "devel": "dev", "test": "test"}
 
 # Characters reserved by the label serialization grammar; forbidden in any
-# label field after normalization.
-DELIMITER_CHARS = "|;:[]"
+# label field.
+DELIMITER_CHARS = frozenset("|;:[]")
 
 _WS_RE = re.compile(r"\s+")
 
@@ -39,29 +39,35 @@ def normalize_space(value: str) -> str:
     return _WS_RE.sub(" ", value.strip())
 
 
+# The two label-field normalizations return an already-normalized value as the
+# same object, so a label rebuilt from another label's fields (a gold label
+# read back from a predictions row) shares its strings instead of copying them.
 def normalize_key(value: str) -> str:
     """Normalization for scenario/action/entity-type fields: also lowercased."""
-    return normalize_space(value).lower()
+    key = normalize_space(value).lower()
+    return value if key == value else key
 
 
 def normalize_filler(value: str) -> str:
     """Normalization for filler strings: whitespace only, case preserved."""
-    return normalize_space(value)
-
-
-def has_delimiter(value: str) -> bool:
-    return any(ch in value for ch in DELIMITER_CHARS)
+    filler = normalize_space(value)
+    return value if filler == value else filler
 
 
 @dataclass(frozen=True)
 class Entity:
-    """One slot: an entity-type name and the surface string filling it."""
+    """One slot: an entity-type name and the surface string filling it.
+
+    Both are normalized when the entity is built: whitespace trimmed and
+    collapsed, the type lowercased, the filler's case kept.
+    """
 
     etype: str
     filler: str
 
-    def normalized(self) -> "Entity":
-        return Entity(normalize_key(self.etype), normalize_filler(self.filler))
+    def __post_init__(self):
+        object.__setattr__(self, "etype", normalize_key(self.etype))
+        object.__setattr__(self, "filler", normalize_filler(self.filler))
 
     def to_dict(self) -> dict:
         return {"type": self.etype, "filler": self.filler}
@@ -75,9 +81,11 @@ class Entity:
 class SemanticLabel:
     """Scenario/action intent plus an ordered entity list.
 
-    ``unparseable`` marks predictions that could not be recovered from a raw
-    model output; such labels score as fully wrong but flow through scoring
-    without raising.
+    Scenario and action are normalized (whitespace collapsed, lowercased) when
+    the label is built, and its entities when they are built, so every label
+    is normalized exactly once. ``unparseable`` marks predictions that could
+    not be recovered from a raw model output; such labels score as fully wrong
+    but flow through scoring without raising.
     """
 
     scenario: str
@@ -86,20 +94,13 @@ class SemanticLabel:
     unparseable: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "scenario", normalize_key(self.scenario))
+        object.__setattr__(self, "action", normalize_key(self.action))
         object.__setattr__(self, "entities", tuple(self.entities))
 
     @property
     def intent(self) -> tuple[str, str]:
         return (self.scenario, self.action)
-
-    def normalized(self) -> "SemanticLabel":
-        if self.unparseable:
-            return self
-        return SemanticLabel(
-            scenario=normalize_key(self.scenario),
-            action=normalize_key(self.action),
-            entities=tuple(e.normalized() for e in self.entities),
-        )
 
     def to_dict(self) -> dict:
         if self.unparseable:
@@ -122,6 +123,22 @@ class SemanticLabel:
 
 
 UNPARSEABLE = SemanticLabel(scenario="", action="", entities=(), unparseable=True)
+
+
+def label_fault(label: SemanticLabel) -> Optional[str]:
+    """Why a label cannot be a gold label or a target string, worded to follow
+    "label" (e.g. "is unparseable"), or None when it can: it must be
+    parseable, and every field non-empty and free of delimiter characters."""
+    if label.unparseable:
+        return "is unparseable"
+    fields = [("intent field", label.scenario), ("intent field", label.action)]
+    fields += [("entity field", v) for e in label.entities for v in (e.etype, e.filler)]
+    for kind, value in fields:
+        if not value:
+            return f"has an empty {kind}"
+        if not DELIMITER_CHARS.isdisjoint(value):
+            return f"has a delimiter character in {kind} {value!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -148,10 +165,7 @@ class Utterance:
         }
         if self.speech_ref is not None:
             obj["speech_ref"] = self.speech_ref
-        obj["scenario"] = self.label.scenario
-        obj["action"] = self.label.action
-        obj["entities"] = [e.to_dict() for e in self.label.entities]
-        return obj
+        return {**obj, **self.label.to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Utterance":
@@ -161,11 +175,7 @@ class Utterance:
             split=str(obj["split"]),
             text=str(obj["text"]),
             speech_ref=None if obj.get("speech_ref") is None else str(obj["speech_ref"]),
-            label=SemanticLabel(
-                scenario=str(obj.get("scenario", "")),
-                action=str(obj.get("action", "")),
-                entities=tuple(Entity.from_dict(e) for e in obj.get("entities", [])),
-            ),
+            label=SemanticLabel.from_dict(obj),
         )
 
 
@@ -195,26 +205,9 @@ def _validate_record(utt: Utterance, path=None, line=None) -> None:
             f"record {utt.id!r}: split {utt.split!r} not in {SPLITS}", path, line)
     if not utt.text.strip():
         raise CorpusFormatError(f"record {utt.id!r}: transcript is empty", path, line)
-    label = utt.label
-    if label.unparseable:
-        raise CorpusFormatError(f"record {utt.id!r}: gold label is unparseable", path, line)
-    scenario, action = normalize_key(label.scenario), normalize_key(label.action)
-    if not scenario or not action:
-        raise CorpusFormatError(
-            f"record {utt.id!r}: scenario/action must be non-empty", path, line)
-    for fld, norm in ((label.scenario, scenario), (label.action, action)):
-        if has_delimiter(norm):
-            raise CorpusFormatError(
-                f"record {utt.id!r}: delimiter character in intent field {fld!r}",
-                path, line)
-    for ent in label.entities:
-        etype, filler = normalize_key(ent.etype), normalize_filler(ent.filler)
-        if not etype or not filler:
-            raise CorpusFormatError(
-                f"record {utt.id!r}: entity type/filler must be non-empty", path, line)
-        if has_delimiter(etype) or has_delimiter(filler):
-            raise CorpusFormatError(
-                f"record {utt.id!r}: delimiter character in entity {ent!r}", path, line)
+    fault = label_fault(utt.label)
+    if fault is not None:
+        raise CorpusFormatError(f"record {utt.id!r}: gold label {fault}", path, line)
 
 
 def _check_ids_and_lang(corpus: Corpus) -> None:
@@ -256,19 +249,20 @@ def _entities_from_list(raw, annotated: str) -> tuple[Entity, ...]:
     ents = []
     fallback = None
     for item in raw or []:
-        etype = str(item.get("type", "")).strip()
+        etype = str(item.get("type", ""))
         filler = item.get("filler")
-        if filler is None:
-            # Span-only entity lists (real SLURP): recover fillers from the
-            # annotated sentence, in order.
-            if fallback is None:
-                fallback = list(_entities_from_annotation(annotated))
-            match = next((f for f in fallback if normalize_key(f.etype) == normalize_key(etype)), None)
-            if match is None:
-                continue
+        if filler is not None:
+            ents.append(Entity(etype=etype, filler=str(filler)))
+            continue
+        # Span-only entity lists (real SLURP): recover fillers from the
+        # annotated sentence, in order.
+        if fallback is None:
+            fallback = list(_entities_from_annotation(annotated))
+        etype = normalize_key(etype)
+        match = next((f for f in fallback if f.etype == etype), None)
+        if match is not None:
             fallback.remove(match)
-            filler = match.filler
-        ents.append(Entity(etype=etype, filler=str(filler)))
+            ents.append(match)
     return tuple(ents)
 
 
@@ -304,8 +298,7 @@ def _canonical_records(path) -> Iterable[Utterance]:
             utt = Utterance.from_dict(obj)
         except KeyError as exc:
             raise CorpusFormatError(f"missing field {exc.args[0]!r}", path, lineno) from exc
-        utt = replace(utt, split=_map_split(utt.split, path, lineno),
-                      label=utt.label.normalized())
+        utt = replace(utt, split=_map_split(utt.split, path, lineno))
         _validate_record(utt, path, lineno)
         yield utt
 
@@ -326,7 +319,7 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
             scenario, action = _split_intent(obj.get("intent", ""), scenario)
         label = SemanticLabel(
             scenario=scenario, action=str(action),
-            entities=_entities_from_list(obj.get("entities"), annotated)).normalized()
+            entities=_entities_from_list(obj.get("entities"), annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
         text_utt = Utterance(id=base_id, lang=lang, split=split, text=text, label=label)
@@ -353,7 +346,7 @@ def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
         scenario, action = _split_intent(obj.get("intent", ""), obj.get("scenario", ""))
         label = SemanticLabel(
             scenario=scenario, action=action,
-            entities=_entities_from_annotation(annotated)).normalized()
+            entities=_entities_from_annotation(annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")

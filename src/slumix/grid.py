@@ -90,6 +90,12 @@ class ExperimentManifest:
     def __post_init__(self):
         if not self.corpora:
             raise ConfigError("manifest needs at least one corpus")
+        by_prefix: dict[str, str] = {}
+        for name in sorted(self.corpora):
+            other = by_prefix.setdefault(_safe_name(name), name)
+            if other != name:
+                raise ConfigError(f"corpora {other!r} and {name!r} share the cell id "
+                                  f"prefix {_safe_name(name)!r}")
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ConfigError(f"unknown scheme {scheme!r}")

@@ -9,11 +9,13 @@ Canonical grammar (normative EBNF, one line per label):
                            "[", "]" and newlines
 
 Example: ``scenario: music | action: play | entities: [artist: queen; song:
-bohemian rhapsody]``. Fields are normalized before serialization: whitespace
+bohemian rhapsody]``. Labels are normalized when they are built (whitespace
 trimmed and collapsed; scenario, action and entity types lowercased; fillers
-keep their case. Parsing is deliberately tolerant (case-insensitive keys,
-flexible whitespace, trailing junk ignored, "entity"/"slots" accepted for
-"entities") because it has to consume free-form model output.
+keep their case), so serialization writes their fields as they are and
+parsing builds each label once from the raw field strings. Parsing is
+deliberately tolerant (case-insensitive keys, flexible whitespace, trailing
+junk ignored, "entity"/"slots" accepted for "entities") because it has to
+consume free-form model output.
 """
 
 from __future__ import annotations
@@ -21,40 +23,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import (
-    UNPARSEABLE,
-    Entity,
-    SemanticLabel,
-    has_delimiter,
-    normalize_filler,
-    normalize_key,
-)
+from .corpus import UNPARSEABLE, Entity, SemanticLabel, label_fault
 from .errors import LabelFormatError, PromptError
 
 PAYLOAD_PLACEHOLDER = "{payload}"
 SPEECH_PLACEHOLDER = "<speech>"
 
 
-def _checked(value: str, what: str) -> str:
-    if not value:
-        raise LabelFormatError(f"{what} is empty after normalization")
-    if has_delimiter(value):
-        raise LabelFormatError(f"{what} {value!r} contains a reserved delimiter character")
-    return value
-
-
 def serialize_label(label: SemanticLabel) -> str:
     """Render the canonical target string for a label."""
-    if label.unparseable:
-        raise LabelFormatError("cannot serialize an unparseable label")
-    scenario = _checked(normalize_key(label.scenario), "scenario")
-    action = _checked(normalize_key(label.action), "action")
-    parts = []
-    for ent in label.entities:
-        etype = _checked(normalize_key(ent.etype), "entity type")
-        filler = _checked(normalize_filler(ent.filler), "entity filler")
-        parts.append(f"{etype}: {filler}")
-    return f"scenario: {scenario} | action: {action} | entities: [{'; '.join(parts)}]"
+    fault = label_fault(label)
+    if fault is not None:
+        raise LabelFormatError(f"cannot serialize a label that {fault}")
+    entities = "; ".join(f"{e.etype}: {e.filler}" for e in label.entities)
+    return f"scenario: {label.scenario} | action: {label.action} | entities: [{entities}]"
 
 
 _KEYS = r"(?:scenario|action|entities|entity|slots)"
@@ -80,10 +62,6 @@ def parse_label(text) -> SemanticLabel:
         m_a = _ACTION_RE.search(text)
         if m_s is None or m_a is None:
             return UNPARSEABLE
-        scenario = normalize_key(m_s.group(1))
-        action = normalize_key(m_a.group(1))
-        if not scenario or not action:
-            return UNPARSEABLE
         entities = []
         m_e = _ENTITIES_RE.search(text)
         if m_e is not None:
@@ -93,11 +71,12 @@ def parse_label(text) -> SemanticLabel:
                 if ":" not in chunk:
                     continue
                 etype, filler = chunk.split(":", 1)
-                etype = normalize_key(etype)
-                filler = normalize_filler(filler)
-                if etype and filler:
-                    entities.append(Entity(etype=etype, filler=filler))
-        return SemanticLabel(scenario=scenario, action=action, entities=tuple(entities))
+                entity = Entity(etype=etype, filler=filler)
+                if entity.etype and entity.filler:
+                    entities.append(entity)
+        label = SemanticLabel(scenario=m_s.group(1), action=m_a.group(1),
+                              entities=tuple(entities))
+        return label if label.scenario and label.action else UNPARSEABLE
     except Exception:
         return UNPARSEABLE
 

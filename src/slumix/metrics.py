@@ -1,8 +1,9 @@
 """Evaluation metrics: intent accuracy, micro entity F1, and SLU-F1.
 
 All comparisons run on normalized labels (whitespace collapsed; scenario,
-action and entity types lowercased; fillers case-preserving), mirroring the
-codec's normalization so round-tripped predictions do not lose score.
+action and entity types lowercased; fillers case-preserving). Labels are
+normalized when they are built, so gold labels and parsed predictions
+compare as they are and round-tripped predictions do not lose score.
 
 SLU-F1 jointly scores intent and entities: each utterance contributes its
 entity spans plus two pseudo-spans carrying the scenario and action values.
@@ -13,9 +14,8 @@ computed once over word tokens and once over characters. The final score is
 the arithmetic mean of the micro word-level F1 and the micro character-level
 F1 (the SLURP-toolkit convention).
 
-``evaluate`` computes every metric in one pass over the records, normalizing
-each label once; ``intent_accuracy``, ``entity_prf`` and ``slu_f1`` are views
-of its report.
+``evaluate`` computes every metric in one pass over the records;
+``intent_accuracy``, ``entity_prf`` and ``slu_f1`` are views of its report.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def evaluate(records) -> MetricReport:
     hits = tp = fp = fn = n_gold = n_pred = 0
     word_tp = char_tp = 0.0
     for r in records:
-        gold, pred = r.gold.normalized(), r.pred.normalized()
+        gold, pred = r.gold, r.pred
         if not pred.unparseable and pred.intent == gold.intent:
             hits += 1
         dtp, dfp, dfn = _entity_counts(gold, pred)

@@ -93,7 +93,6 @@ class ModelState:
     filler_lexicon: dict[str, dict[str, int]] = field(default_factory=dict)
     prior_intent: Optional[tuple[str, str]] = None
     train_log: list[dict] = field(default_factory=list)
-    feature_dim: int = FEATURE_DIM
 
     @property
     def trained(self) -> bool:
@@ -207,7 +206,7 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
                     if utt is None:
                         raise TrainError(f"plan item {item_id!r} not found in corpus")
                     k = keys[key] = len(labels)
-                    labels.append(utt.label.normalized())
+                    labels.append(utt.label)
                     for idx, count in hashed_features(_item_tokens(utt, modality, sim)).items():
                         cols.append(vocab.setdefault(idx, len(vocab)))
                         counts.append(count)
@@ -316,7 +315,7 @@ def model_to_dict(model: ModelState) -> dict:
     return {
         "kind": "model_state",
         "model_version": 1,
-        "feature_dim": model.feature_dim,
+        "feature_dim": FEATURE_DIM,
         "classes": [list(c) for c in model.classes],
         "bias": None if model.bias is None else _b64(model.bias),
         "features": features,
@@ -328,6 +327,9 @@ def model_to_dict(model: ModelState) -> dict:
 
 
 def model_from_dict(obj: dict) -> ModelState:
+    if obj["feature_dim"] != FEATURE_DIM:
+        raise TrainError(f"model was trained on {obj['feature_dim']} hashed features, "
+                         f"not {FEATURE_DIM}")
     classes = tuple(tuple(c) for c in obj["classes"])
     features = obj["features"]
     stacked = _unb64(obj["weights"], (len(features), len(classes)))
@@ -338,7 +340,6 @@ def model_from_dict(obj: dict) -> ModelState:
         filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
         prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
         train_log=list(obj["train_log"]),
-        feature_dim=obj["feature_dim"],
     )
 
 
@@ -363,15 +364,15 @@ def export_manifest(plan: MixPlan, recipe: TrainRecipe, corpus_ref: str,
     epochs = list(range(1, plan.config.epochs + 1))
     if plan.config.scheme == "curriculum" and plan.config.epochs > 1:
         phases = [
-            {"phase": 1, "schedule": recipe.schedule_kind, "peak_lr": recipe.peak_lr,
+            {"phase": 1, "schedule": "cosine", "peak_lr": recipe.peak_lr,
              "warmup_ratio": recipe.warmup_ratio, "epochs": epochs[:-1]},
-            {"phase": 2, "schedule": recipe.schedule_kind,
+            {"phase": 2, "schedule": "cosine",
              "peak_lr": recipe.phase2_peak_lr,
              "warmup_ratio": recipe.phase2_warmup_ratio, "epochs": epochs[-1:]},
         ]
     else:
         phases = [
-            {"phase": 1, "schedule": recipe.schedule_kind, "peak_lr": recipe.peak_lr,
+            {"phase": 1, "schedule": "cosine", "peak_lr": recipe.peak_lr,
              "warmup_ratio": recipe.warmup_ratio, "epochs": epochs},
         ]
     manifest = {

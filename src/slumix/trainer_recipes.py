@@ -23,13 +23,10 @@ class TrainRecipe:
     batch_size: int
     grad_accum: int
     beams: int
-    schedule_kind: str = "cosine"
     phase2_peak_lr: Optional[float] = None
     phase2_warmup_ratio: Optional[float] = None
 
     def __post_init__(self):
-        if self.schedule_kind != "cosine":
-            raise TrainError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.peak_lr <= 0:
             raise TrainError(f"peak_lr must be > 0 (got {self.peak_lr})")
         if not 0 <= self.warmup_ratio < 1:

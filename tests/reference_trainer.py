@@ -38,7 +38,7 @@ def train(plan, corpus, recipe, sim):
                 if item_id not in by_id:
                     raise TrainError(f"plan item {item_id!r} not found in corpus")
 
-    class_set = sorted({by_id[i].label.normalized().intent
+    class_set = sorted({by_id[i].label.intent
                         for epoch in all_batches for batch in epoch for i, _ in batch})
     classes = tuple(class_set)
     class_idx = {c: k for k, c in enumerate(classes)}
@@ -74,7 +74,7 @@ def train(plan, corpus, recipe, sim):
                     n_speech += 1
                 else:
                     n_text += 1
-                label = utt.label.normalized()
+                label = utt.label
                 intent_counts[label.intent] = intent_counts.get(label.intent, 0) + 1
                 for ent in label.entities:
                     slots = model.filler_lexicon.setdefault(ent.filler, {})

@@ -7,6 +7,8 @@ from conftest import make_corpus, make_utt
 from slumix import (
     Corpus,
     CorpusFormatError,
+    Entity,
+    SemanticLabel,
     corpus_stats,
     filter_split,
     load_corpus,
@@ -88,6 +90,26 @@ class TestCanonicalProfile:
         corpus = load_corpus(path, "canonical")
         fields = sum(2 + 2 * len(r.label.entities) for r in corpus.records)
         assert 0 < len(calls) <= 2 * fields
+
+    def test_each_label_field_normalized_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "syn.jsonl"
+        save_corpus(make_synthetic_corpus(200), path)
+        calls = []
+        normalize_space = slumix.corpus.normalize_space
+
+        def counting(value):
+            calls.append(value)
+            return normalize_space(value)
+
+        monkeypatch.setattr(slumix.corpus, "normalize_space", counting)
+        corpus = load_corpus(path, "canonical")
+        assert len(calls) == sum(2 + 2 * len(r.label.entities) for r in corpus.records)
+
+    def test_unparseable_gold_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [canonical_row("u1"), {**canonical_row("u2"), "unparseable": True}])
+        with pytest.raises(CorpusFormatError, match="gold label is unparseable"):
+            load_corpus(path, "canonical")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -262,3 +284,20 @@ class TestStatsAndViews:
         ])
         items = {u.id for u in text_items(corpus)}
         assert items == {"t1", "s2"}
+
+
+class TestLabels:
+    def test_normalized_when_built(self):
+        label = SemanticLabel(" Alarm ", "SET", (Entity("Time", " seven  am "),))
+        assert label == SemanticLabel("alarm", "set", (Entity("time", "seven am"),))
+        assert (label.scenario, label.action) == ("alarm", "set")
+        assert label.entities[0].to_dict() == {"type": "time", "filler": "seven am"}
+
+    def test_rebuilt_label_shares_strings(self):
+        # Gold labels are read back from prediction rows at scoring time; an
+        # already-normalized field must not be copied.
+        label = SemanticLabel("alarm", "set", (Entity("time", "Seven am"),))
+        rebuilt = SemanticLabel.from_dict(label.to_dict())
+        assert rebuilt == label
+        assert rebuilt.scenario is label.scenario
+        assert rebuilt.entities[0].filler is label.entities[0].filler

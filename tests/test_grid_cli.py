@@ -62,6 +62,11 @@ class TestManifest:
             mini_manifest(syn_path, crosslingual=CrossLingualSpec(
                 source="syn", targets=("nope",), modes=("T",)))
 
+    def test_colliding_cell_ids_rejected(self, syn_path):
+        # "x y" and "x-y" would share the cell directories x-y__...
+        with pytest.raises(ConfigError, match="'x y' and 'x-y'"):
+            mini_manifest(syn_path, corpora={"x-y": str(syn_path), "x y": str(syn_path)})
+
 
 class TestRunGrid:
     def test_cell_count_and_outputs(self, syn_path, tmp_path):

@@ -28,6 +28,7 @@ import slumix.trainer as trainer_module
 from slumix.trainer import (
     hashed_features,
     load_model,
+    model_from_dict,
     model_to_dict,
     save_model,
     tokenize,
@@ -292,6 +293,14 @@ class TestSerializationAndEstimator:
         assert model_to_dict(loaded) == model_to_dict(model)
         tokens = tokenize("music utterance number 1 play please")
         assert predict(loaded, tokens) == predict(model, tokens)
+
+    def test_foreign_feature_dim_rejected(self):
+        corpus = speech_train_corpus(30)
+        obj = model_to_dict(train(plan_for(corpus, "direct", 0.5), corpus,
+                                  desk_recipe("direct"), SIM0))
+        assert obj["feature_dim"] == trainer_module.FEATURE_DIM
+        with pytest.raises(TrainError, match="1024 hashed features"):
+            model_from_dict({**obj, "feature_dim": 1024})
 
 
 class TestManifest:
