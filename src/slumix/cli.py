@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from . import grid as gridmod
-from .corpus import PROFILES, SPLITS, filter_split, load_corpus, save_corpus
-from .errors import MetricsError, SlumixError
+from .corpus import PROFILES, SPLITS, _load_jsonl, filter_split, load_corpus, save_corpus
+from .errors import CorpusFormatError, SlumixError
 from .grid import (
     load_manifest,
     read_rows_csv,
@@ -40,16 +40,6 @@ class _Log:
         else:
             detail = " ".join(f"{k}={v}" for k, v in fields.items())
             print(f"{event}: {detail}" if detail else event)
-
-
-def _read_jsonl(path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
 
 
 def _cmd_ingest(args, log: _Log) -> int:
@@ -110,8 +100,8 @@ def _cmd_predict(args, log: _Log) -> int:
     corpus = load_corpus(args.corpus, "canonical")
     view = filter_split(corpus, args.split)
     records = gridmod.eval_records(corpus) if args.split == "test" else view.records
-    rows = gridmod.predict_records(model, records, sim,
-                                    oracle_transcripts=args.oracle_transcripts)
+    rows = gridmod.prediction_rows(gridmod.predict_records(
+        model, records, sim, oracle_transcripts=args.oracle_transcripts))
     with open(args.out, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
@@ -120,17 +110,14 @@ def _cmd_predict(args, log: _Log) -> int:
 
 
 def _cmd_evaluate(args, log: _Log) -> int:
-    corpus = load_corpus(args.gold, "canonical")
-    gold_by_id = corpus.by_id()
-    rows = _read_jsonl(args.pred)
-    if not rows:
-        raise MetricsError("empty record list")
-    for row in rows:
-        utt = gold_by_id.get(row["utt_id"])
-        if utt is None:
-            raise MetricsError(f"prediction for unknown utterance {row['utt_id']!r}")
-        row["gold"] = utt.label.to_dict()
-    report = score_prediction_rows(rows)
+    gold_by_id = load_corpus(args.gold, "canonical").by_id()
+    rows = []
+    for lineno, row in _load_jsonl(args.pred):
+        if not isinstance(row.get("utt_id"), str) or "pred_raw" not in row:
+            raise CorpusFormatError("prediction row needs a string 'utt_id' and a 'pred_raw'",
+                                    args.pred, lineno)
+        rows.append(row)
+    report = score_prediction_rows(rows, gold_by_id)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report_to_dict(report), f, ensure_ascii=False, sort_keys=True,
                   indent=2)

@@ -295,10 +295,10 @@ def _load_jsonl(path) -> Iterable[tuple[int, dict]]:
 def _canonical_records(path) -> Iterable[Utterance]:
     for lineno, obj in _load_jsonl(path):
         try:
+            obj["split"] = _map_split(obj["split"], path, lineno)
             utt = Utterance.from_dict(obj)
         except KeyError as exc:
             raise CorpusFormatError(f"missing field {exc.args[0]!r}", path, lineno) from exc
-        utt = replace(utt, split=_map_split(utt.split, path, lineno))
         _validate_record(utt, path, lineno)
         yield utt
 

@@ -10,6 +10,10 @@ Few-shot samples are the first ``fewshot_pairs`` items of one seeded
 permutation per target language over its speech-paired training records, so
 the T and T+S variants use the same underlying sample and repeated builds
 with one seed are prefix-nested.
+
+Each combined record is rebuilt once, its id namespaced and, where the mode
+drops speech, its speech reference removed. The combined corpus is checked
+only for duplicate ids: combining changes nothing else of validated records.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence, Union
 
-from .corpus import Corpus, Utterance, filter_split, validate_corpus
+from .corpus import Corpus, Utterance, _check_ids_and_lang, filter_split
 from .errors import ConfigError
 from .scheduler import derive_seed, nested_permutation
 
@@ -30,12 +34,13 @@ CROSSLINGUAL_MODES = (
 DEFAULT_FEWSHOT_PAIRS = 115
 
 
-def _namespaced(corpus_name: str, records) -> list[Utterance]:
-    return [replace(r, id=f"{corpus_name}/{r.id}") for r in records]
+def _namespaced(corpus_name: str, records, keep_speech: bool) -> list[Utterance]:
+    return [replace(r, id=f"{corpus_name}/{r.id}",
+                    speech_ref=r.speech_ref if keep_speech else None)
+            for r in records]
 
 
-def _fewshot_records(target: Corpus, fewshot_pairs: int, seed: int,
-                     keep_speech: bool) -> list[Utterance]:
+def _fewshot_records(target: Corpus, fewshot_pairs: int, seed: int) -> list[Utterance]:
     train = filter_split(target, "train")
     paired = [r for r in train.records if r.has_speech]
     if len(paired) < fewshot_pairs:
@@ -45,10 +50,7 @@ def _fewshot_records(target: Corpus, fewshot_pairs: int, seed: int,
     order = nested_permutation([r.id for r in paired],
                                derive_seed(seed, "fewshot", target.lang))
     by_id = {r.id: r for r in paired}
-    chosen = [by_id[i] for i in order[:fewshot_pairs]]
-    if not keep_speech:
-        chosen = [replace(r, speech_ref=None) for r in chosen]
-    return chosen
+    return [by_id[i] for i in order[:fewshot_pairs]]
 
 
 def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
@@ -60,7 +62,8 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
 
     Only train splits are taken; evaluation always runs against the target
     corpora's own test splits. Record ids are namespaced by corpus name so
-    same-numbered ids across languages cannot collide.
+    same-numbered ids across languages cannot collide. The inputs must be
+    validated corpora, as ``load_corpus`` returns them.
     """
     if mode not in CROSSLINGUAL_MODES:
         raise ConfigError(f"unknown cross-lingual mode {mode!r} "
@@ -82,13 +85,14 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
 
     records: list[Utterance] = []
     if use_source:
-        records += _namespaced(source.name, filter_split(source, "train").records)
+        records += _namespaced(source.name, filter_split(source, "train").records,
+                               keep_speech=True)
 
     if use_targets:
         for target in targets:
-            records += _namespaced(
-                target.name,
-                _fewshot_records(target, fewshot_pairs, seed, keep_speech=use_speech))
+            records += _namespaced(target.name,
+                                   _fewshot_records(target, fewshot_pairs, seed),
+                                   keep_speech=use_speech)
 
     if use_massive:
         if massive_text is None:
@@ -100,10 +104,9 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
             if extra is None:
                 raise ConfigError(
                     f"mode {mode!r}: no text-only corpus for target lang {target.lang!r}")
-            text_only = [replace(r, speech_ref=None)
-                         for r in filter_split(extra, "train").records]
-            records += _namespaced(extra.name, text_only)
+            records += _namespaced(extra.name, filter_split(extra, "train").records,
+                                   keep_speech=False)
 
     combined = Corpus(name=f"xl-{mode}", lang="mul", records=records)
-    validate_corpus(combined)
+    _check_ids_and_lang(combined)
     return combined

@@ -29,14 +29,13 @@ from typing import Optional
 
 from .corpus import (
     Corpus,
-    SemanticLabel,
     filter_split,
     load_corpus,
     speech_items,
     text_items,
 )
 from .crosslingual import DEFAULT_FEWSHOT_PAIRS, make_crosslingual_corpus
-from .errors import ConfigError
+from .errors import ConfigError, MetricsError
 from .labelcodec import parse_label, serialize_label
 from .metrics import (
     MetricReport,
@@ -219,24 +218,31 @@ def eval_records(corpus: Corpus) -> list:
 
 
 def predict_records(model, records, sim: SpeechSimConfig,
-                    oracle_transcripts: bool = False) -> list[dict]:
+                    oracle_transcripts: bool = False) -> list[PredictionRecord]:
     token_seqs = [simulate_speech(utt.text, sim)
                   if utt.has_speech and not oracle_transcripts else tokenize(utt.text)
                   for utt in records]
-    return [{"utt_id": utt.id, "gold": utt.label.to_dict(),
-             "pred_raw": "" if pred.unparseable else serialize_label(pred)}
+    return [PredictionRecord(utt_id=utt.id, gold=utt.label, pred=pred)
             for utt, pred in zip(records, predict_many(model, token_seqs))]
 
 
-def score_prediction_rows(rows) -> MetricReport:
-    records = [
-        PredictionRecord(
-            utt_id=row["utt_id"],
-            gold=SemanticLabel.from_dict(row["gold"]),
-            pred=parse_label(row["pred_raw"]),
-        )
-        for row in rows
-    ]
+def prediction_rows(records) -> list[dict]:
+    """The ``preds.jsonl`` rows of predictions ("" for an unparseable one)."""
+    return [{"utt_id": r.utt_id, "gold": r.gold.to_dict(),
+             "pred_raw": "" if r.pred.unparseable else serialize_label(r.pred)}
+            for r in records]
+
+
+def score_prediction_rows(rows, gold_by_id: dict) -> MetricReport:
+    """Score ``preds.jsonl`` rows against the gold utterances they name by
+    ``utt_id``; each row's ``pred_raw`` is parsed and its ``gold`` ignored."""
+    records = []
+    for row in rows:
+        utt = gold_by_id.get(row["utt_id"])
+        if utt is None:
+            raise MetricsError(f"prediction for unknown utterance {row['utt_id']!r}")
+        records.append(PredictionRecord(utt_id=utt.id, gold=utt.label,
+                                        pred=parse_label(row["pred_raw"])))
     return evaluate(records)
 
 
@@ -353,8 +359,9 @@ def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
     xl = manifest.crosslingual is not None
     reports, pred_rows = {}, []
     for target in targets:
-        rows = predict_records(model, eval_records(target), sim)
-        reports[target.lang] = report_to_dict(score_prediction_rows(rows))
+        preds = predict_records(model, eval_records(target), sim)
+        reports[target.lang] = report_to_dict(evaluate(preds))
+        rows = prediction_rows(preds)
         pred_rows += [{"target_lang": target.lang, **row} for row in rows] if xl else rows
     report = ({"kind": "crosslingual_report", "scheme": scheme, "per_target": reports}
               if xl else reports[corpus.lang])

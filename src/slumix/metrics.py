@@ -2,8 +2,8 @@
 
 All comparisons run on normalized labels (whitespace collapsed; scenario,
 action and entity types lowercased; fillers case-preserving). Labels are
-normalized when they are built, so gold labels and parsed predictions
-compare as they are and round-tripped predictions do not lose score.
+normalized when they are built, so gold labels and predictions, predicted or
+parsed, compare as they are.
 
 SLU-F1 jointly scores intent and entities: each utterance contributes its
 entity spans plus two pseudo-spans carrying the scenario and action values.

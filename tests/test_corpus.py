@@ -105,6 +105,20 @@ class TestCanonicalProfile:
         corpus = load_corpus(path, "canonical")
         assert len(calls) == sum(2 + 2 * len(r.label.entities) for r in corpus.records)
 
+    def test_each_record_built_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "syn.jsonl"
+        save_corpus(make_synthetic_corpus(200), path)
+        calls = []
+        replace = slumix.corpus.replace
+
+        def counting(obj, **changes):
+            calls.append(changes)
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(slumix.corpus, "replace", counting)
+        load_corpus(path, "canonical")
+        assert calls == []
+
     def test_unparseable_gold_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [canonical_row("u1"), {**canonical_row("u2"), "unparseable": True}])

@@ -1,7 +1,8 @@
 import pytest
 
+import slumix.crosslingual
 from conftest import make_corpus, make_utt
-from slumix import ConfigError, make_crosslingual_corpus
+from slumix import ConfigError, CorpusFormatError, make_crosslingual_corpus
 from slumix.crosslingual import CROSSLINGUAL_MODES
 
 
@@ -109,6 +110,19 @@ class TestMassiveAugmented:
                       if r.lang == "de" and not r.id.startswith("massive-de/")]
         assert all(r.has_speech for r in de_fewshot)
 
+    def test_t_s_m_rebuilds_each_record_once(self, source, targets, massive, monkeypatch):
+        calls = []
+        replace = slumix.crosslingual.replace
+
+        def counting(obj, **changes):
+            calls.append(changes)
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(slumix.crosslingual, "replace", counting)
+        combined = make_crosslingual_corpus(source, targets, massive, mode="T_S_M",
+                                            fewshot_pairs=10, seed=1)
+        assert 0 < len(calls) <= len(combined)
+
     def test_missing_massive_rejected(self, source, targets):
         with pytest.raises(ConfigError, match="requires"):
             make_crosslingual_corpus(source, targets, None, mode="T_M",
@@ -144,6 +158,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="distinct"):
             make_crosslingual_corpus(source, [lang_corpus("fr")], mode="T",
                                      fewshot_pairs=5)
+
+    def test_colliding_ids_rejected(self, source, targets):
+        # A text corpus named like its target namespaces its ids the same way.
+        clash = [lang_corpus("de", n_train=30, speech=False, name="corpus-de")]
+        with pytest.raises(CorpusFormatError, match="duplicate record id"):
+            make_crosslingual_corpus(source, targets[:1], clash, mode="T_M",
+                                     fewshot_pairs=10, seed=1)
 
     def test_modes_cover_spec(self):
         assert set(CROSSLINGUAL_MODES) == {

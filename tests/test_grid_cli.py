@@ -17,6 +17,7 @@ from slumix.grid import (
     run_grid,
 )
 from slumix.errors import ConfigError
+from slumix.scheduler import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,19 @@ class TestRunGrid:
                 totals["per_epoch_text"]
             assert [r["speech_items"] for r in meta["train_log"]] == \
                 totals["per_epoch_speech"]
+
+    def test_scores_predictions_as_predicted(self, syn_path, tmp_path, monkeypatch):
+        calls = []
+        parse_label = slumix.grid.parse_label
+
+        def counting(raw):
+            calls.append(raw)
+            return parse_label(raw)
+
+        monkeypatch.setattr(slumix.grid, "parse_label", counting)
+        assert run_grid(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)),
+                        tmp_path / "runs").ok
+        assert calls == []
 
     def test_failed_cell_recorded_not_fatal(self, tmp_path, syn_path):
         # fewshot_pairs larger than any target pool makes every cell fail
@@ -379,6 +393,36 @@ class TestCli:
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert "empty record list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        json.dumps({"utt_id": "x"}),
+        json.dumps({"pred_raw": ""}),
+        json.dumps(["x", ""]),
+    ], ids=["not_json", "no_pred_raw", "no_utt_id", "array"])
+    def test_bad_prediction_line_exit_1(self, syn_path, tmp_path, capsys, line):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"utt_id": "x", "pred_raw": ""}) + "\n\n" + line + "\n")
+        code = main(["evaluate", "--gold", str(syn_path), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {preds}:3: ")
+
+    def test_predict_and_evaluate_reproduce_grid_cells(self, syn_path, tmp_path):
+        runs = tmp_path / "runs"
+        assert run_grid(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)), runs).ok
+        cells = sorted(p for p in runs.iterdir() if p.is_dir())
+        assert len(cells) == 3
+        for cell in cells:
+            assert main(["predict", "--model", str(cell / "model.json"),
+                         "--corpus", str(syn_path), "--split", "test",
+                         "--sim-seed", str(derive_seed(1, "speech-sim")),
+                         "--out", str(tmp_path / "preds.jsonl")]) == 0
+            assert (tmp_path / "preds.jsonl").read_bytes() == (cell / "preds.jsonl").read_bytes()
+            assert main(["evaluate", "--gold", str(syn_path),
+                         "--pred", str(cell / "preds.jsonl"),
+                         "--out", str(tmp_path / "report.json")]) == 0
+            assert (tmp_path / "report.json").read_bytes() == (cell / "report.json").read_bytes()
 
     def test_data_error_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

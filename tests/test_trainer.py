@@ -23,13 +23,17 @@ from slumix import (
     text_items,
     train,
 )
-from slumix.corpus import Corpus
+from slumix.corpus import UNPARSEABLE, Corpus
+from slumix.grid import prediction_rows, predict_records
+from slumix.labelcodec import parse_label, serialize_label
 import slumix.trainer as trainer_module
 from slumix.trainer import (
+    ModelState,
     hashed_features,
     load_model,
     model_from_dict,
     model_to_dict,
+    predict_many,
     save_model,
     tokenize,
 )
@@ -280,6 +284,33 @@ class TestPredict:
     def test_ngram_features_include_bigrams(self):
         feats = hashed_features(["wake", "me"])
         assert len(feats) == 3  # wake, me, "wake me"
+
+
+class TestPredictionRoundTrip:
+    # Grid cells score the labels predict_many returns; `slumix evaluate`
+    # scores what parse_label reads back from preds.jsonl. The two agree only
+    # if every predicted label survives serialization.
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("scheme", ["text_only", "direct", "curriculum"])
+    def test_predicted_labels_round_trip(self, scheme, seed):
+        corpus = make_synthetic_corpus(200, seed=seed)
+        model = train(plan_for(corpus, scheme, 0.0 if scheme == "text_only" else 0.5,
+                               epochs=2, seed=seed),
+                      corpus, desk_recipe(scheme, epochs=2), SpeechSimConfig(seed=seed))
+        token_seqs = [tokenize(u.text) for u in corpus.records]
+        for sim in (SpeechSimConfig(seed=seed),
+                    SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=seed)):
+            token_seqs += [simulate_speech(u.text, sim) for u in corpus.records]
+        preds = predict_many(model, token_seqs)
+        assert model.prior_intent in {p.intent for p, t in zip(preds, token_seqs) if not t}
+        assert [p for p in preds if parse_label(serialize_label(p)) != p] == []
+
+    def test_untrained_model_written_as_empty(self):
+        corpus = make_synthetic_corpus(20)
+        preds = predict_records(ModelState(), corpus.records, SIM0)
+        assert {p.pred for p in preds} == {UNPARSEABLE}
+        assert {row["pred_raw"] for row in prediction_rows(preds)} == {""}
+        assert parse_label("") == UNPARSEABLE
 
 
 class TestSerializationAndEstimator:
