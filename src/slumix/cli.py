@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import grid as gridmod
 from .corpus import PROFILES, SPLITS, _load_jsonl, filter_split, load_corpus, save_corpus
-from .errors import CorpusFormatError, SlumixError
+from .errors import CorpusFormatError, SlumixError, TrainError
 from .grid import (
     load_manifest,
     read_rows_csv,
@@ -90,7 +90,10 @@ def _cmd_train(args, log: _Log) -> int:
 
 def _cmd_predict(args, log: _Log) -> int:
     with open(args.model, "r", encoding="utf-8") as f:
-        obj = json.load(f)
+        try:
+            obj = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise TrainError(f"{args.model}: model is not valid JSON ({exc})") from exc
     model = model_from_dict(obj)
     sim_cfg = obj.get("sim")
     if sim_cfg is not None:

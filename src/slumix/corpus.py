@@ -11,6 +11,10 @@ format. A record with ``speech_ref`` counts as a speech-label pair; every
 record carries a transcript. For SLURP-style sources, each audio recording
 becomes its own record (sharing the transcript), so the number of distinct
 transcripts and the number of speech records differ.
+
+Records that repeat a label share one ``SemanticLabel``: a load builds,
+normalizes and checks each distinct label once, and still checks every
+record's own fields, each with its path and line.
 """
 
 from __future__ import annotations
@@ -167,17 +171,6 @@ class Utterance:
             obj["speech_ref"] = self.speech_ref
         return {**obj, **self.label.to_dict()}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Utterance":
-        return cls(
-            id=str(obj["id"]),
-            lang=str(obj["lang"]),
-            split=str(obj["split"]),
-            text=str(obj["text"]),
-            speech_ref=None if obj.get("speech_ref") is None else str(obj["speech_ref"]),
-            label=SemanticLabel.from_dict(obj),
-        )
-
 
 @dataclass
 class Corpus:
@@ -195,7 +188,9 @@ class Corpus:
         return {r.id: r for r in self.records}
 
 
-def _validate_record(utt: Utterance, path=None, line=None) -> None:
+def _validate_record(utt: Utterance, fault: Optional[str], path=None, line=None) -> None:
+    """Check one record; ``fault`` is ``label_fault(utt.label)``, which a reader
+    that shares one label among records computes once per label."""
     if not utt.id:
         raise CorpusFormatError("record id is empty", path, line)
     if not utt.lang:
@@ -205,7 +200,6 @@ def _validate_record(utt: Utterance, path=None, line=None) -> None:
             f"record {utt.id!r}: split {utt.split!r} not in {SPLITS}", path, line)
     if not utt.text.strip():
         raise CorpusFormatError(f"record {utt.id!r}: transcript is empty", path, line)
-    fault = label_fault(utt.label)
     if fault is not None:
         raise CorpusFormatError(f"record {utt.id!r}: gold label {fault}", path, line)
 
@@ -225,7 +219,7 @@ def validate_corpus(corpus: Corpus) -> None:
     """Check corpus invariants: valid splits/labels, unique ids, one language
     (combined multilingual corpora use lang "mul" and skip that check)."""
     for utt in corpus.records:
-        _validate_record(utt)
+        _validate_record(utt, label_fault(utt.label))
     _check_ids_and_lang(corpus)
 
 
@@ -278,9 +272,14 @@ def _split_intent(intent: str, scenario: str) -> tuple[str, str]:
 
 
 def _load_jsonl(path) -> Iterable[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    # Lines are split on b"\n" and decoded one by one, so a file that is not
+    # UTF-8 is reported at the line that holds the bad bytes.
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"not UTF-8 text ({exc.reason})", path, lineno) from exc
             if not line:
                 continue
             try:
@@ -292,14 +291,37 @@ def _load_jsonl(path) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
+def _label_key(obj: dict, path, line) -> tuple:
+    """The record fields ``SemanticLabel.from_dict`` reads, as a hashable key:
+    records with equal keys get equal labels."""
+    if obj.get("unparseable"):
+        return (True,)
+    entities = obj.get("entities", [])
+    if not isinstance(entities, list) or not all(isinstance(e, dict) for e in entities):
+        raise CorpusFormatError("field 'entities' is not a list of objects", path, line)
+    return (False, str(obj.get("scenario", "")), str(obj.get("action", "")),
+            tuple((str(e["type"]), str(e["filler"])) for e in entities))
+
+
 def _canonical_records(path) -> Iterable[Utterance]:
+    # Recording records repeat their transcript's label, so each distinct label
+    # is built and checked once per load and shared by the records that carry it.
+    labels: dict[tuple, tuple[SemanticLabel, Optional[str]]] = {}
     for lineno, obj in _load_jsonl(path):
         try:
-            obj["split"] = _map_split(obj["split"], path, lineno)
-            utt = Utterance.from_dict(obj)
+            split = _map_split(obj["split"], path, lineno)
+            utt_id, lang, text = str(obj["id"]), str(obj["lang"]), str(obj["text"])
+            key = _label_key(obj, path, lineno)
         except KeyError as exc:
             raise CorpusFormatError(f"missing field {exc.args[0]!r}", path, lineno) from exc
-        _validate_record(utt, path, lineno)
+        if key not in labels:
+            label = SemanticLabel.from_dict(obj)
+            labels[key] = (label, label_fault(label))
+        label, fault = labels[key]
+        ref = obj.get("speech_ref")
+        utt = Utterance(id=utt_id, lang=lang, split=split, text=text, label=label,
+                        speech_ref=None if ref is None else str(ref))
+        _validate_record(utt, fault, path, lineno)
         yield utt
 
 
@@ -323,7 +345,7 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
         text_utt = Utterance(id=base_id, lang=lang, split=split, text=text, label=label)
-        _validate_record(text_utt, path, lineno)
+        _validate_record(text_utt, label_fault(label), path, lineno)
         yield text_utt
         recordings = obj.get("recordings") or []
         if pairing == "one":
@@ -352,7 +374,7 @@ def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")
         utt = Utterance(id=str(rec_id), lang=lang, split=split, text=text,
                         label=label, speech_ref=None if ref is None else str(ref))
-        _validate_record(utt, path, lineno)
+        _validate_record(utt, label_fault(label), path, lineno)
         yield utt
 
 

@@ -134,6 +134,8 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
 
 
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
+    if not isinstance(obj, dict):
+        raise ConfigError("manifest is not a JSON object")
     if obj.get("kind", "experiment_manifest") != "experiment_manifest":
         raise ConfigError(f"not an experiment manifest: kind={obj.get('kind')!r}")
     if obj.get("manifest_version", 1) != 1:
@@ -165,7 +167,11 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
 
 def load_manifest(path) -> ExperimentManifest:
     with open(path, "r", encoding="utf-8") as f:
-        return manifest_from_dict(json.load(f))
+        try:
+            obj = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{path}: manifest is not valid JSON ({exc})") from exc
+    return manifest_from_dict(obj)
 
 
 def recipe_from_config(cfg: dict, scheme: str, epochs: int) -> TrainRecipe:

@@ -112,6 +112,22 @@ def _max_credit(matrix: list[list[float]]) -> float:
     return float(sum(matrix[r][c] for r, c in zip(rows, cols)))
 
 
+def _group_credit(golds: list[str], preds: list[str]) -> tuple[float, float]:
+    """Optimal (word, char) matching credit of one span type's fillers."""
+    if len(golds) == len(preds) == 1:
+        # One pair is its own best matching. Equal fillers have equal bags,
+        # whose overlap F1 is exactly 1.0.
+        gold, pred = golds[0], preds[0]
+        if gold == pred:
+            return 1.0, 1.0
+        return word_credit(gold, pred), char_credit(gold, pred)
+    gold_bags = [(Counter(g.split()), Counter(g)) for g in golds]
+    pred_bags = [(Counter(p.split()), Counter(p)) for p in preds]
+    word = _max_credit([[overlap_f1(gw, pw) for pw, _ in pred_bags] for gw, _ in gold_bags])
+    char = _max_credit([[overlap_f1(gc, pc) for _, pc in pred_bags] for _, gc in gold_bags])
+    return word, char
+
+
 def _matched_credit(gold_spans, pred_spans) -> tuple[float, float]:
     """Optimal same-type matching credit for one utterance: (word, char)."""
     by_type: dict[str, tuple[list, list]] = {}
@@ -122,8 +138,9 @@ def _matched_credit(gold_spans, pred_spans) -> tuple[float, float]:
     word = char = 0.0
     for golds, preds in by_type.values():
         if golds and preds:
-            word += _max_credit([[word_credit(g, p) for p in preds] for g in golds])
-            char += _max_credit([[char_credit(g, p) for p in preds] for g in golds])
+            dword, dchar = _group_credit(golds, preds)
+            word += dword
+            char += dchar
     return word, char
 
 

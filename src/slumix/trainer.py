@@ -327,20 +327,25 @@ def model_to_dict(model: ModelState) -> dict:
 
 
 def model_from_dict(obj: dict) -> ModelState:
-    if obj["feature_dim"] != FEATURE_DIM:
-        raise TrainError(f"model was trained on {obj['feature_dim']} hashed features, "
-                         f"not {FEATURE_DIM}")
-    classes = tuple(tuple(c) for c in obj["classes"])
-    features = obj["features"]
-    stacked = _unb64(obj["weights"], (len(features), len(classes)))
-    return ModelState(
-        classes=classes,
-        bias=None if obj["bias"] is None else _unb64(obj["bias"], (len(classes),)),
-        weights={f: stacked[i] for i, f in enumerate(features)},
-        filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
-        prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
-        train_log=list(obj["train_log"]),
-    )
+    if not isinstance(obj, dict):
+        raise TrainError("model is not a JSON object")
+    try:
+        if obj["feature_dim"] != FEATURE_DIM:
+            raise TrainError(f"model was trained on {obj['feature_dim']} hashed features, "
+                             f"not {FEATURE_DIM}")
+        classes = tuple(tuple(c) for c in obj["classes"])
+        features = obj["features"]
+        stacked = _unb64(obj["weights"], (len(features), len(classes)))
+        return ModelState(
+            classes=classes,
+            bias=None if obj["bias"] is None else _unb64(obj["bias"], (len(classes),)),
+            weights={f: stacked[i] for i, f in enumerate(features)},
+            filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
+            prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
+            train_log=list(obj["train_log"]),
+        )
+    except KeyError as exc:
+        raise TrainError(f"model missing field {exc.args[0]!r}") from exc
 
 
 def save_model(model: ModelState, path) -> None:

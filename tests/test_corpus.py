@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -103,7 +104,55 @@ class TestCanonicalProfile:
 
         monkeypatch.setattr(slumix.corpus, "normalize_space", counting)
         corpus = load_corpus(path, "canonical")
-        assert len(calls) == sum(2 + 2 * len(r.label.entities) for r in corpus.records)
+        labels = {r.label for r in corpus.records}
+        assert len(labels) < len(corpus)
+        assert len(calls) == sum(2 + 2 * len(label.entities) for label in labels)
+
+    def test_equal_label_fields_share_one_label(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rows = [canonical_row("u1"), canonical_row("u2", text="wake me up at seven am"),
+                canonical_row("u3", entities=[{"type": "Time", "filler": "seven  am"}]),
+                canonical_row("u4")]
+        write_jsonl(path, rows)
+        u1, u2, u3, u4 = load_corpus(path, "canonical").records
+        assert u1.label is u2.label is u4.label
+        assert u3.label == u1.label
+        for utt, row in zip((u1, u2, u3, u4), rows):
+            assert utt.label == SemanticLabel.from_dict(row)
+
+    @pytest.mark.parametrize("change", [
+        {"scenario": "alarm|x"},
+        {"action": " "},
+        {"entities": [{"type": "time", "filler": "seven:am"}]},
+        {"entities": [{"type": "", "filler": "seven am"}]},
+        {"unparseable": True},
+        {"text": "  "},
+        {"id": ""},
+    ])
+    def test_third_record_of_repeated_label_fails_at_its_line(self, tmp_path, change):
+        path = tmp_path / "c.jsonl"
+        rows = [canonical_row(f"u{i}") for i in range(1, 6)]
+        rows[2] = {**rows[2], **change}
+        write_jsonl(path, rows)
+        with pytest.raises(CorpusFormatError,
+                           match=rf"^{re.escape(str(path))}:3: record( 'u3'| id is empty)"):
+            load_corpus(path, "canonical")
+
+    @pytest.mark.parametrize("entities", [
+        "x", 7, [5], ["time"], None, {"type": "time", "filler": "seven am"},
+    ], ids=["string", "number", "list_of_numbers", "list_of_strings", "null", "object"])
+    def test_malformed_entities_rejected(self, tmp_path, entities):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [canonical_row("u1"), {**canonical_row("u2"), "entities": entities}])
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: field 'entities'"):
+            load_corpus(path, "canonical")
+
+    def test_non_utf8_line_reported(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(json.dumps(canonical_row("u1")).encode() + b"\n"
+                         + json.dumps(canonical_row("u2")).encode()[:-1] + b"\xe9}\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: not UTF-8"):
+            load_corpus(path, "canonical")
 
     def test_each_record_built_once(self, tmp_path, monkeypatch):
         path = tmp_path / "syn.jsonl"

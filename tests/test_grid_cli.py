@@ -408,6 +408,51 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {preds}:3: ")
 
+    def test_non_utf8_predictions_exit_1(self, syn_path, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_bytes(b"\xff\xfe" + json.dumps({"utt_id": "x", "pred_raw": ""}).encode())
+        code = main(["evaluate", "--gold", str(syn_path), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {preds}:1: not UTF-8 text")
+
+    @pytest.mark.parametrize("filler,exit_code", [("seven am", 0), ("seven|am", 1)],
+                             ids=["good", "delimiter"])
+    def test_every_gold_record_validated(self, tmp_path, capsys, filler, exit_code):
+        # Only u1 is scored; u3 repeats u1's label except for its filler.
+        gold = tmp_path / "gold.jsonl"
+        rows = [{"id": f"u{i}", "lang": "en", "split": "test", "text": "wake me at seven am",
+                 "scenario": "alarm", "action": "set",
+                 "entities": [{"type": "time", "filler": "seven am"}]} for i in (1, 2, 3)]
+        rows[2]["entities"] = [{"type": "time", "filler": filler}]
+        gold.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"utt_id": "u1", "pred_raw": "alarm|set"}) + "\n")
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")]) == exit_code
+        if exit_code:
+            assert capsys.readouterr().err.startswith(f"error: {gold}:3: record 'u3': gold label")
+
+    @pytest.mark.parametrize("content", [
+        "{not json", json.dumps({"kind": "model_state"}), json.dumps([1]),
+    ], ids=["not_json", "missing_field", "array"])
+    def test_bad_model_file_exit_1(self, syn_path, tmp_path, capsys, content):
+        model = tmp_path / "model.json"
+        model.write_text(content)
+        code = main(["predict", "--model", str(model), "--corpus", str(syn_path),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("content", ["{not json", json.dumps([1])],
+                             ids=["not_json", "array"])
+    def test_bad_manifest_file_exit_1(self, tmp_path, capsys, content):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(content)
+        code = main(["grid", "--config", str(manifest), "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_predict_and_evaluate_reproduce_grid_cells(self, syn_path, tmp_path):
         runs = tmp_path / "runs"
         assert run_grid(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)), runs).ok

@@ -1,6 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import slumix.corpus
 from label_fuzz import random_gold as random_label, random_pred, to_label
@@ -259,3 +263,57 @@ class TestInvariances:
         monkeypatch.setattr(slumix.corpus, "normalize_space", counting)
         evaluate(records)
         assert calls == []
+
+
+def _solve(matrix):
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    return float(sum(matrix[i][j] for i, j in zip(rows, cols)))
+
+
+def _assignment_oracle_counts(records):
+    """The counts ``evaluate`` reports, from every pair's credit and one
+    assignment per span-type group, 1x1 groups included, summed in the same
+    order as ``evaluate``."""
+    word_tp = char_tp = 0.0
+    tp = fp = fn = 0
+    for r in records:
+        groups = {}
+        for side, label in ((0, r.gold), (1, r.pred)):
+            if not label.unparseable:
+                spans = [("scenario", label.scenario), ("action", label.action)]
+                for etype, filler in spans + [(e.etype, e.filler) for e in label.entities]:
+                    groups.setdefault(etype, ([], []))[side].append(filler)
+        word = char = 0.0
+        for golds, preds in groups.values():
+            if golds and preds:
+                word += _solve([[word_credit(g, p) for p in preds] for g in golds])
+                char += _solve([[char_credit(g, p) for p in preds] for g in golds])
+        word_tp += word
+        char_tp += char
+        gold_bag = Counter((e.etype, e.filler) for e in r.gold.entities)
+        pred_bag = Counter() if r.pred.unparseable else Counter(
+            (e.etype, e.filler) for e in r.pred.entities)
+        hit = sum((gold_bag & pred_bag).values())
+        tp, fp, fn = tp + hit, fp + sum(pred_bag.values()) - hit, fn + sum(gold_bag.values()) - hit
+    return {"n_utts": len(records), "tp": tp, "fp": fp, "fn": fn,
+            "word_tp_frac": word_tp, "char_tp_frac": char_tp}
+
+
+# A small vocabulary, so equal fillers, overlapping unequal fillers, 1x1
+# groups and one-sided (empty) groups are all common; at most 4 spans per
+# type gives groups up to 4x4.
+_fillers = st.lists(st.sampled_from(["seven", "am", "new", "york", "a"]),
+                    min_size=1, max_size=3).map(" ".join)
+_entities = st.lists(st.tuples(st.sampled_from(["time", "place", "date"]), _fillers),
+                     max_size=8).filter(
+    lambda ents: max(Counter(t for t, _ in ents).values(), default=0) <= 4)
+_labels = st.builds(lab, st.sampled_from(["alarm", "alarm clock", "music"]),
+                    st.sampled_from(["set", "set up", "play"]), _entities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_labels, st.one_of(st.just(UNPARSEABLE), _labels)),
+                min_size=1, max_size=5))
+def test_counts_equal_assignment_oracle(pairs):
+    records = [rec(str(i), gold, pred) for i, (gold, pred) in enumerate(pairs)]
+    assert evaluate(records).counts == _assignment_oracle_counts(records)
