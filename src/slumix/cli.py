@@ -28,6 +28,8 @@ from .scheduler import load_plan, save_plan
 from .synthetic import make_synthetic_corpus
 from .trainer import SpeechSimConfig, export_manifest, model_from_dict, model_to_dict, train
 
+_SIM_FIELDS = ("substitution_rate", "deletion_rate", "seed")  # the model file's ``sim``
+
 
 class _Log:
     def __init__(self, as_json: bool):
@@ -71,6 +73,18 @@ def _sim_from_args(args, seed: int) -> SpeechSimConfig:
                            deletion_rate=args.sim_deletion, seed=seed)
 
 
+def _sim_from_model(sim_cfg, path) -> SpeechSimConfig:
+    """The ``sim`` object ``slumix train`` writes into a model file."""
+    if not isinstance(sim_cfg, dict):
+        raise TrainError(f"{path}: model field 'sim' is not an object")
+    for name, value in sim_cfg.items():
+        if name not in _SIM_FIELDS:
+            raise TrainError(f"{path}: model field 'sim' has unknown field {name!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TrainError(f"{path}: model field 'sim.{name}' is not a number")
+    return SpeechSimConfig(**sim_cfg)
+
+
 def _cmd_train(args, log: _Log) -> int:
     plan = load_plan(args.plan)
     corpus = load_corpus(args.corpus, "canonical")
@@ -79,8 +93,7 @@ def _cmd_train(args, log: _Log) -> int:
     sim = _sim_from_args(args, args.sim_seed)
     model = train(plan, corpus, recipe, sim)
     obj = model_to_dict(model)
-    obj["sim"] = {"substitution_rate": sim.substitution_rate,
-                  "deletion_rate": sim.deletion_rate, "seed": sim.seed}
+    obj["sim"] = {name: getattr(sim, name) for name in _SIM_FIELDS}
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(obj, f, ensure_ascii=False)
     log.emit("trained", epochs=len(model.train_log),
@@ -97,7 +110,7 @@ def _cmd_predict(args, log: _Log) -> int:
     model = model_from_dict(obj)
     sim_cfg = obj.get("sim")
     if sim_cfg is not None:
-        sim = SpeechSimConfig(**sim_cfg)
+        sim = _sim_from_model(sim_cfg, args.model)
     else:
         sim = _sim_from_args(args, args.sim_seed)
     corpus = load_corpus(args.corpus, "canonical")

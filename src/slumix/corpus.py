@@ -19,6 +19,7 @@ record's own fields, each with its path and line.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -271,10 +272,23 @@ def _split_intent(intent: str, scenario: str) -> tuple[str, str]:
     return scenario, intent
 
 
+@dataclass(frozen=True)
+class FileBytes:
+    """A file's contents, read once. ``load_corpus`` parses ``data`` and names
+    ``path`` in its messages, so a caller that also hashes ``data`` hashes
+    exactly what was parsed."""
+
+    path: str
+    data: bytes = field(repr=False)
+
+    def __str__(self) -> str:
+        return self.path
+
+
 def _load_jsonl(path) -> Iterable[tuple[int, dict]]:
     # Lines are split on b"\n" and decoded one by one, so a file that is not
     # UTF-8 is reported at the line that holds the bad bytes.
-    with open(path, "rb") as f:
+    with io.BytesIO(path.data) if isinstance(path, FileBytes) else open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -385,6 +399,7 @@ def load_corpus(path, profile: str = "canonical", *, name: Optional[str] = None,
                 pairing: str = "all", default_lang: str = "en") -> Corpus:
     """Load and validate a corpus file under the given format profile.
 
+    ``path`` is a file path, or a ``FileBytes`` holding contents already read.
     ``pairing`` applies to SLURP-style sources only: "all" keeps every
     recording as its own speech record, "one" keeps only the first.
     """

@@ -29,6 +29,7 @@ from typing import Optional
 
 from .corpus import (
     Corpus,
+    FileBytes,
     filter_split,
     load_corpus,
     speech_items,
@@ -56,7 +57,7 @@ from .scheduler import (
     speech_budget,
 )
 from .stats import AggregateCell, SeedRun, aggregate, comparison_marks
-from .trainer import SpeechSimConfig, predict_many, save_model, simulate_speech, tokenize, train
+from .trainer import FeatureStore, SpeechSimConfig, save_model, train
 from .trainer_recipes import TrainRecipe, desk_recipe, published_recipe
 
 DEFAULT_SPEECH_LEVELS = (0.02, 0.05, 0.10, 0.25, 0.50, 1.0)
@@ -223,13 +224,16 @@ def eval_records(corpus: Corpus) -> list:
     return spoken if spoken else text_items(test)
 
 
-def predict_records(model, records, sim: SpeechSimConfig,
-                    oracle_transcripts: bool = False) -> list[PredictionRecord]:
-    token_seqs = [simulate_speech(utt.text, sim)
-                  if utt.has_speech and not oracle_transcripts else tokenize(utt.text)
-                  for utt in records]
+def predict_records(model, records, sim: SpeechSimConfig, oracle_transcripts: bool = False,
+                    features: Optional[FeatureStore] = None) -> list[PredictionRecord]:
+    """Predict each record from its simulated speech (its transcript if it has
+    no speech or ``oracle_transcripts`` is set), reading inputs from
+    ``features`` (a store of its own if None)."""
+    features = FeatureStore() if features is None else features
+    rows = [features.row(utt.text, sim if utt.has_speech and not oracle_transcripts else None)
+            for utt in records]
     return [PredictionRecord(utt_id=utt.id, gold=utt.label, pred=pred)
-            for utt, pred in zip(records, predict_many(model, token_seqs))]
+            for utt, pred in zip(records, features.predict(model, rows))]
 
 
 def prediction_rows(records) -> list[dict]:
@@ -323,14 +327,20 @@ def _grid_cells(manifest: ExperimentManifest) -> list[_Cell]:
 
 
 class _GridInputs:
-    """One run's corpus files: content digest and loaded corpus, each on first use."""
+    """One run's inputs: each corpus file's bytes, read once, with their digest
+    and the corpus parsed from them, each on first use; and one feature store
+    that every cell of the run trains and predicts from."""
 
     def __init__(self, manifest: ExperimentManifest):
         self.manifest = manifest
+        contents = functools.cache(
+            lambda name: FileBytes(manifest.corpora[name],
+                                   Path(manifest.corpora[name]).read_bytes()))
         self.corpus = functools.cache(
-            lambda name: load_corpus(manifest.corpora[name], "canonical", name=name))
-        self.digest = functools.cache(lambda name: hashlib.sha256(
-            Path(manifest.corpora[name]).read_bytes()).hexdigest())
+            lambda name: load_corpus(contents(name), "canonical", name=name))
+        self.digest = functools.cache(
+            lambda name: hashlib.sha256(contents(name).data).hexdigest())
+        self.features = FeatureStore()
 
     def cell_hash(self, cell: _Cell) -> str:
         """SHA-256 of exactly the inputs the cell's outputs depend on."""
@@ -361,11 +371,11 @@ def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
     plan = make_plan_for_corpus(corpus, scheme, plan_level, cell.seed, manifest.epochs)
     recipe = recipe_from_config(manifest.recipe, scheme, manifest.epochs)
     sim = sim_from_config(manifest.sim, cell.seed)
-    model = train(plan, corpus, recipe, sim)
+    model = train(plan, corpus, recipe, sim, inputs.features)
     xl = manifest.crosslingual is not None
     reports, pred_rows = {}, []
     for target in targets:
-        preds = predict_records(model, eval_records(target), sim)
+        preds = predict_records(model, eval_records(target), sim, features=inputs.features)
         reports[target.lang] = report_to_dict(evaluate(preds))
         rows = prediction_rows(preds)
         pred_rows += [{"target_lang": target.lang, **row} for row in rows] if xl else rows

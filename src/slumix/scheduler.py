@@ -202,15 +202,20 @@ def plan_to_dict(plan: MixPlan) -> dict:
 
 
 def plan_from_dict(obj: dict) -> MixPlan:
-    cfg = obj["config"]
-    config = SchedulerConfig(scheme=cfg["scheme"], p=cfg["p"], epochs=cfg["epochs"],
-                             seed=cfg["seed"], n_speech=cfg["n_speech"])
-    epochs = tuple(
-        EpochPlan(epoch=ep["epoch"], text_item_ids=tuple(ep["text_item_ids"]),
-                  speech_item_ids=tuple(ep["speech_item_ids"]))
-        for ep in obj["epochs"]
-    )
-    return MixPlan(config=config, epochs=epochs, permutation=tuple(obj["permutation"]))
+    if not isinstance(obj, dict):
+        raise PlanError("plan is not a JSON object")
+    try:
+        cfg = obj["config"]
+        config = SchedulerConfig(scheme=cfg["scheme"], p=cfg["p"], epochs=cfg["epochs"],
+                                 seed=cfg["seed"], n_speech=cfg["n_speech"])
+        epochs = tuple(
+            EpochPlan(epoch=ep["epoch"], text_item_ids=tuple(ep["text_item_ids"]),
+                      speech_item_ids=tuple(ep["speech_item_ids"]))
+            for ep in obj["epochs"]
+        )
+        return MixPlan(config=config, epochs=epochs, permutation=tuple(obj["permutation"]))
+    except KeyError as exc:
+        raise PlanError(f"plan missing field {exc.args[0]!r}") from exc
 
 
 def save_plan(plan: MixPlan, path) -> None:
@@ -220,4 +225,8 @@ def save_plan(plan: MixPlan, path) -> None:
 
 def load_plan(path) -> MixPlan:
     with open(path, "r", encoding="utf-8") as f:
-        return plan_from_dict(json.load(f))
+        try:
+            obj = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise PlanError(f"{path}: plan is not valid JSON ({exc})") from exc
+    return plan_from_dict(obj)

@@ -19,7 +19,6 @@ import base64
 import json
 import math
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -115,6 +114,47 @@ def _lexicon_index(lexicon) -> tuple[dict[tuple[str, ...], str], int]:
     return index, max_len
 
 
+class FeatureStore:
+    """Tokens and hashed feature row of each distinct ``(text, sim)`` input,
+    built once: ``sim`` is None for a transcript and the ``SpeechSimConfig``
+    for simulated speech. ``row(text, sim)`` returns the input's row number;
+    ``tokens``, ``indices`` and ``counts`` hold each row, its features in
+    ``hashed_features`` order. One store may serve any number of ``train``
+    and ``predict_records`` calls, since every row is a pure function of its
+    key; a grid run shares one."""
+
+    def __init__(self):
+        self._rows: dict[tuple[str, Optional[SpeechSimConfig]], int] = {}
+        self.tokens: list[tuple[str, ...]] = []
+        self.indices: list[np.ndarray] = []
+        self.counts: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def row(self, text: str, sim: Optional[SpeechSimConfig]) -> int:
+        k = self._rows.get((text, sim))
+        if k is None:
+            k = self._rows[(text, sim)] = len(self.tokens)
+            tokens = tokenize(text) if sim is None else simulate_speech(text, sim)
+            self._append(tokens)
+        return k
+
+    def _append(self, tokens: Sequence[str]) -> None:
+        feats = hashed_features(tokens)
+        self.tokens.append(tuple(tokens))
+        self.indices.append(np.fromiter(feats, dtype=np.int64, count=len(feats)))
+        self.counts.append(np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
+
+    def predict(self, model: ModelState, rows: Sequence[int]) -> list[SemanticLabel]:
+        """``predict`` for each row, building the lexicon index once."""
+        if not model.trained:
+            return [UNPARSEABLE] * len(rows)
+        index, max_len = _lexicon_index(model.filler_lexicon)
+        return [_predict(model, self.tokens[k], self.indices[k].tolist(),
+                         self.counts[k].tolist(), index, max_len) for k in rows]
+
+
 def predict(model: ModelState, tokens: Sequence[str]) -> SemanticLabel:
     """Intent by argmax over the linear model; entities by longest-match scan
     of the input against the learned filler lexicon (left to right,
@@ -125,20 +165,20 @@ def predict(model: ModelState, tokens: Sequence[str]) -> SemanticLabel:
 def predict_many(model: ModelState,
                  token_seqs: Sequence[Sequence[str]]) -> list[SemanticLabel]:
     """``predict`` for each token sequence, building the lexicon index once."""
-    if not model.trained:
-        return [UNPARSEABLE] * len(token_seqs)
-    index, max_len = _lexicon_index(model.filler_lexicon)
-    return [_predict(model, tokens, index, max_len) for tokens in token_seqs]
+    store = FeatureStore()
+    for tokens in token_seqs:
+        store._append(tokens)
+    return store.predict(model, range(len(store)))
 
 
-def _predict(model: ModelState, tokens: Sequence[str],
-             index: dict[tuple[str, ...], str], max_len: int) -> SemanticLabel:
-    feats = hashed_features(tokens)
-    if not feats:
+def _predict(model: ModelState, tokens: Sequence[str], indices: list[int],
+             counts: list[float], index: dict[tuple[str, ...], str],
+             max_len: int) -> SemanticLabel:
+    if not indices:
         scenario, action = model.prior_intent
         return SemanticLabel(scenario=scenario, action=action, entities=())
     logits = model.bias.copy()
-    for idx, count in feats.items():
+    for idx, count in zip(indices, counts):
         w = model.weights.get(idx)
         if w is not None:
             logits += count * w
@@ -162,38 +202,34 @@ def _predict(model: ModelState, tokens: Sequence[str],
     return SemanticLabel(scenario=winner[0], action=winner[1], entities=tuple(entities))
 
 
-def _item_tokens(utt, modality: str, sim: SpeechSimConfig) -> list[str]:
-    if modality == "speech":
-        return simulate_speech(utt.text, sim)
-    return tokenize(utt.text)
-
-
 def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
-          sim: SpeechSimConfig) -> ModelState:
+          sim: SpeechSimConfig, features: Optional[FeatureStore] = None) -> ModelState:
     """Run the plan through the reference learner.
 
     Consumes epochs and batches exactly as ``epoch_batches`` dictates; the
     per-epoch item counts in the training log therefore match ``plan_totals``
     identically. Fully deterministic in (plan, corpus, recipe, sim).
 
-    Each distinct (item id, modality) is compiled once into a sparse row of
-    feature counts, and each batch is one matrix step whose float sums run in
-    the order of the per-item loop in ``tests/reference_trainer.py``, so the
+    Each item's tokens and feature row come from ``features``, which holds
+    one row per distinct (text, sim) input: a transcript is keyed by its text
+    and None, a speech item by its text and ``sim``. A store shared across
+    calls simulates and hashes each input once per run; without one, the call
+    builds its own. Each batch is one matrix step whose float sums run in the
+    order of the per-item loop in ``tests/reference_trainer.py``, and the
+    feature columns are ranked by first occurrence in the item stream, so the
     model is the same bit for bit.
     """
     check_recipe_for_scheme(recipe, plan.config.scheme)
+    features = FeatureStore() if features is None else features
     by_id = corpus.by_id()
     all_batches = [epoch_batches(plan, e, recipe.batch_size, plan.config.seed)
                    for e in range(1, plan.config.epochs + 1)]
     if not any(batch for epoch in all_batches for batch in epoch):
         raise TrainError("plan contains no training items")
 
-    keys: dict[tuple[str, str], int] = {}
+    keys: dict[tuple[str, str], int] = {}  # (item id, modality) -> k, in first-use order
     labels: list[SemanticLabel] = []
-    vocab: dict[int, int] = {}  # hashed feature -> row of the weight matrix
-    indptr, cols, counts = [0], [], []
-    lexicon: dict[str, dict[str, int]] = {}
-    intent_counts: Counter = Counter()
+    rows: list[int] = []  # store row of each k
     key_batches = [[] for _ in all_batches]  # per epoch, per batch: key numbers
     for epoch, epoch_keys in zip(all_batches, key_batches):
         for batch in epoch:
@@ -207,18 +243,35 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
                         raise TrainError(f"plan item {item_id!r} not found in corpus")
                     k = keys[key] = len(labels)
                     labels.append(utt.label)
-                    for idx, count in hashed_features(_item_tokens(utt, modality, sim)).items():
-                        cols.append(vocab.setdefault(idx, len(vocab)))
-                        counts.append(count)
-                    indptr.append(len(cols))
+                    rows.append(features.row(utt.text, sim if modality == "speech" else None))
                 ks.append(k)
-                label = labels[k]
-                intent_counts[label.intent] += 1
-                for ent in label.entities:
-                    slots = lexicon.setdefault(ent.filler, {})
-                    slots[ent.etype] = slots.get(ent.etype, 0) + 1
             epoch_keys.append(np.array(ks))
-    indptr, cols, counts = np.array(indptr), np.array(cols, dtype=np.intp), np.array(counts)
+
+    # Counts scaled by each key's multiplicity are the stream's integer sums,
+    # and keys in k order touch fillers and entity types in the stream's order.
+    multiplicity = np.bincount(np.concatenate([ks for batches in key_batches
+                                               for ks in batches]), minlength=len(labels))
+    lexicon: dict[str, dict[str, int]] = {}
+    intent_counts: dict[tuple[str, str], int] = {}
+    for label, m in zip(labels, multiplicity.tolist()):
+        intent_counts[label.intent] = intent_counts.get(label.intent, 0) + m
+        for ent in label.entities:
+            slots = lexicon.setdefault(ent.filler, {})
+            slots[ent.etype] = slots.get(ent.etype, 0) + m
+
+    # Columns of the weight matrix are the hashed features ranked by first
+    # occurrence in the rows of keys 0, 1, ..., the order in which the stream
+    # first touches them, so a batch's new features have the highest columns.
+    lens = np.array([len(features.indices[r]) for r in rows])
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    hashed = np.concatenate([features.indices[r] for r in rows])
+    counts = np.concatenate([features.counts[r] for r in rows])
+    distinct, first_at, inverse = np.unique(hashed, return_index=True, return_inverse=True)
+    by_first = np.argsort(first_at)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    cols = rank[inverse]
+    vocab = distinct[by_first].tolist()  # column -> hashed feature
 
     classes = tuple(sorted({label.intent for label in labels}))
     targets = np.array([classes.index(label.intent) for label in labels])
@@ -290,7 +343,7 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             "mean_loss": loss_sum / n_items if n_items else 0.0,
             "train_intent_accuracy": hits / n_items if n_items else 0.0,
         })
-    model.weights = {idx: weights[col] for idx, col in vocab.items()}
+    model.weights = {idx: weights[col] for col, idx in enumerate(vocab)}
 
     totals = plan_totals(plan)
     logged = [(rec["text_items"], rec["speech_items"]) for rec in model.train_log]

@@ -1,9 +1,11 @@
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
 import slumix.grid
+import slumix.trainer
 from slumix import make_synthetic_corpus, save_corpus
 from slumix.cli import main
 from slumix.grid import (
@@ -18,6 +20,7 @@ from slumix.grid import (
 )
 from slumix.errors import ConfigError
 from slumix.scheduler import derive_seed
+from slumix.trainer import FeatureStore
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +232,27 @@ class TestCellIdentity:
         # plan.json now holds the 3-epoch plan, so the 2-epoch cell must rerun.
         assert run_grid(manifest, tmp_path / "runs").cells_run == 1
 
+    def test_cell_trains_on_the_bytes_it_is_hashed_by(self, syn_path, tmp_path, monkeypatch):
+        # The corpus file is replaced after the cell hashed it and before it
+        # would be parsed: the cell must still be computed from what it hashed.
+        corpus = tmp_path / "syn.jsonl"
+        shutil.copyfile(syn_path, corpus)
+        manifest = mini_manifest(corpus, schemes=("direct",), speech_levels=(0.1,),
+                                 seeds=(1,))
+        assert run_grid(manifest, tmp_path / "clean").ok
+        real = slumix.grid._read_cell
+
+        def edit_then_read(cell_dir, cell_hash):
+            save_corpus(make_synthetic_corpus(300, seed=1), corpus)
+            return real(cell_dir, cell_hash)
+
+        monkeypatch.setattr(slumix.grid, "_read_cell", edit_then_read)
+        assert run_grid(manifest, tmp_path / "edited").ok
+        for name in ("meta.json", "plan.json", "model.json", "preds.jsonl", "report.json"):
+            rel = f"syn__direct__p0.1__s1/{name}"
+            assert (tmp_path / "edited" / rel).read_bytes() == \
+                (tmp_path / "clean" / rel).read_bytes(), name
+
     def test_failure_records_traceback(self, tmp_path):
         outcome = run_grid(mini_manifest(tmp_path / "absent.jsonl", seeds=(1,)),
                            tmp_path / "runs")
@@ -278,6 +302,48 @@ class TestCrossLingualGrid:
                  for p in (tmp / "runs").glob("xl__zero_shot*/meta.json")]
         by_level = {m["speech_level"]: m["scheme"] for m in metas}
         assert by_level == {0.0: "text_only", 0.1: "curriculum"}
+
+
+@pytest.mark.parametrize("kind", ["mono", "xl"])
+def test_each_input_compiled_once_per_run(kind, syn_path, xl_setup, tmp_path, monkeypatch):
+    if kind == "mono":
+        manifest = mini_manifest(syn_path)
+    else:
+        tmp, _ = xl_setup
+        manifest = ExperimentManifest(
+            corpora={lang: str(tmp / f"{lang}.jsonl") for lang in ("fr", "de", "ko")},
+            schemes=("text_only", "curriculum"), speech_levels=(0.1, 1.0), seeds=(1, 2),
+            epochs=2, recipe={"profile": "desk"},
+            crosslingual=CrossLingualSpec(source="fr", targets=("de", "ko"),
+                                          modes=("zero_shot", "T_S"), fewshot_pairs=8))
+    stores, simulated = [], Counter()
+    hashed = [0]
+    real_simulate, real_hash = slumix.trainer.simulate_speech, slumix.trainer.hashed_features
+
+    class RecordedStore(FeatureStore):
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+    def simulate(text, cfg):
+        simulated[text, cfg] += 1
+        return real_simulate(text, cfg)
+
+    def hash_features(tokens):
+        hashed[0] += 1
+        return real_hash(tokens)
+
+    monkeypatch.setattr(slumix.grid, "FeatureStore", RecordedStore)
+    monkeypatch.setattr(slumix.trainer, "simulate_speech", simulate)
+    monkeypatch.setattr(slumix.trainer, "hashed_features", hash_features)
+    outcome = run_grid(manifest, tmp_path / "runs")
+    assert outcome.ok and outcome.cells_run >= 10
+    used = [store for store in stores if len(store)]
+    assert len(used) == 1
+    # Two seeds simulate each text under two configurations.
+    assert len({cfg for _, cfg in simulated}) == 2
+    assert set(simulated.values()) == {1}
+    assert hashed[0] == len(used[0])
 
 
 def test_crosslingual_added_seed_runs_only_its_cells(xl_setup, tmp_path):
@@ -452,6 +518,41 @@ class TestCli:
         code = main(["grid", "--config", str(manifest), "--out", str(tmp_path / "runs")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["train", "export-manifest"])
+    @pytest.mark.parametrize("content", ["{not json", json.dumps([1]), json.dumps({})],
+                             ids=["not_json", "array", "missing_field"])
+    def test_bad_plan_file_exit_1(self, syn_path, tmp_path, capsys, command, content):
+        plan = tmp_path / "plan.json"
+        plan.write_text(content)
+        source = (["--corpus", str(syn_path)] if command == "train"
+                  else ["--corpus-ref", str(syn_path)])
+        code = main([command, "--plan", str(plan), *source,
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "plan" in err
+
+    @pytest.mark.parametrize("sim", [{"rate": 1}, [1], "fast", {"seed": "7"}],
+                             ids=["unknown_field", "array", "string", "not_a_number"])
+    def test_bad_sim_in_model_file_exit_1(self, syn_path, tmp_path, capsys, sim):
+        model = tmp_path / "model.json"
+        assert main(["plan", "--scheme", "direct", "--p", "0.1", "--epochs", "1",
+                     "--seed", "1", "--corpus", str(syn_path),
+                     "--out", str(tmp_path / "plan.json")]) == 0
+        assert main(["train", "--plan", str(tmp_path / "plan.json"), "--corpus", str(syn_path),
+                     "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        obj["sim"] = sim
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--corpus", str(syn_path),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: model field 'sim")
+        if isinstance(sim, dict):
+            assert next(iter(sim)) in err
 
     def test_predict_and_evaluate_reproduce_grid_cells(self, syn_path, tmp_path):
         runs = tmp_path / "runs"

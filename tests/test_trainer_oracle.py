@@ -21,7 +21,8 @@ from slumix import (
     save_corpus,
     train,
 )
-from slumix.grid import make_plan_for_corpus
+from slumix.grid import make_plan_for_corpus, predict_records
+from slumix.trainer import FeatureStore, predict_many, simulate_speech, tokenize
 
 SIM = SpeechSimConfig(substitution_rate=0.15, deletion_rate=0.10, seed=7)
 
@@ -81,6 +82,45 @@ def test_speech_without_features(synthetic):
     both(plan, synthetic, desk_recipe("direct", epochs=2), silent)
 
 
+def test_shared_store_matches_oracle(synthetic):
+    # Calls that share one store, each checked against the per-item loop. The
+    # first call compiles every text and every seed-1 speech input, so the
+    # second finds all its items compiled; the seed-2 and silent calls add rows.
+    store = FeatureStore()
+    silent = SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=1)
+    calls = [
+        ("curriculum", 1.0, 1, 7, SpeechSimConfig(seed=1)),
+        ("direct", 0.25, 1, 1, SpeechSimConfig(seed=1)),
+        ("text_only", 0.0, 2, 7, SpeechSimConfig(seed=2)),
+        ("direct", 1.0, 2, 7, SpeechSimConfig(seed=2)),
+        ("curriculum", 0.25, 2, 1, SpeechSimConfig(seed=2)),
+        ("direct", 1.0, 1, 7, silent),
+    ]
+    sizes = []
+    for scheme, level, seed, batch_size, sim in calls:
+        plan = make_plan_for_corpus(synthetic, scheme, level, seed, 2)
+        recipe = desk_recipe(scheme, epochs=2, batch_size=batch_size)
+        model = train(plan, synthetic, recipe, sim, store)
+        assert_same_model(model, reference_trainer.train(plan, synthetic, recipe, sim))
+        sizes.append(len(store))
+    assert sizes[1] == sizes[0]
+    assert sizes[2] == sizes[1] < sizes[3] < sizes[5]
+
+
+@pytest.mark.parametrize("oracle_transcripts", [False, True])
+def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
+    sim = SpeechSimConfig(seed=1)
+    store = FeatureStore()
+    plan = make_plan_for_corpus(synthetic, "direct", 0.25, 1, 2)
+    model = train(plan, synthetic, desk_recipe("direct", epochs=2), sim, store)
+    records = synthetic.records
+    shared = predict_records(model, records, sim, oracle_transcripts, features=store)
+    assert shared == predict_records(model, records, sim, oracle_transcripts)
+    token_seqs = [simulate_speech(u.text, sim) if u.has_speech and not oracle_transcripts
+                  else tokenize(u.text) for u in records]
+    assert [r.pred for r in shared] == predict_many(model, token_seqs)
+
+
 def test_intent_seen_only_in_speech():
     records = [make_utt(f"t{i}", f"wake me at {i} am", "alarm", "set",
                         [("time", f"{i} am")]) for i in range(6)]
@@ -112,7 +152,8 @@ def test_grid_outputs_byte_identical(tmp_path, monkeypatch):
     )
     run_grid(manifest, tmp_path / "new")
     with monkeypatch.context() as m:
-        m.setattr("slumix.grid.train", reference_trainer.train)
+        m.setattr("slumix.grid.train", lambda plan, corpus, recipe, sim, features:
+                  reference_trainer.train(plan, corpus, recipe, sim))
         run_grid(manifest, tmp_path / "oracle")
 
     new_files = sorted(p.relative_to(tmp_path / "new")
