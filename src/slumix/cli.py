@@ -13,22 +13,22 @@ from pathlib import Path
 
 from . import grid as gridmod
 from .corpus import PROFILES, SPLITS, _load_jsonl, filter_split, load_corpus, save_corpus
-from .errors import CorpusFormatError, SlumixError, TrainError
+from .errors import CorpusFormatError, SlumixError
 from .grid import (
     load_manifest,
     read_rows_csv,
     recipe_from_config,
     run_grid,
     score_prediction_rows,
+    write_json,
+    write_predictions,
     write_rows_csv,
 )
 from .metrics import report_to_dict
 from .report import REPORT_STYLES, render_report
 from .scheduler import load_plan, save_plan
 from .synthetic import make_synthetic_corpus
-from .trainer import SpeechSimConfig, export_manifest, model_from_dict, model_to_dict, train
-
-_SIM_FIELDS = ("substitution_rate", "deletion_rate", "seed")  # the model file's ``sim``
+from .trainer import SpeechSimConfig, export_manifest, load_model, save_model, train
 
 
 class _Log:
@@ -68,59 +68,28 @@ def _cmd_plan(args, log: _Log) -> int:
     return 0
 
 
-def _sim_from_args(args, seed: int) -> SpeechSimConfig:
-    return SpeechSimConfig(substitution_rate=args.sim_substitution,
-                           deletion_rate=args.sim_deletion, seed=seed)
-
-
-def _sim_from_model(sim_cfg, path) -> SpeechSimConfig:
-    """The ``sim`` object ``slumix train`` writes into a model file."""
-    if not isinstance(sim_cfg, dict):
-        raise TrainError(f"{path}: model field 'sim' is not an object")
-    for name, value in sim_cfg.items():
-        if name not in _SIM_FIELDS:
-            raise TrainError(f"{path}: model field 'sim' has unknown field {name!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TrainError(f"{path}: model field 'sim.{name}' is not a number")
-    return SpeechSimConfig(**sim_cfg)
-
-
 def _cmd_train(args, log: _Log) -> int:
     plan = load_plan(args.plan)
     corpus = load_corpus(args.corpus, "canonical")
     recipe = recipe_from_config({"profile": args.recipe_profile},
                                 plan.config.scheme, plan.config.epochs)
-    sim = _sim_from_args(args, args.sim_seed)
+    sim = SpeechSimConfig(substitution_rate=args.sim_substitution,
+                          deletion_rate=args.sim_deletion, seed=args.sim_seed)
     model = train(plan, corpus, recipe, sim)
-    obj = model_to_dict(model)
-    obj["sim"] = {name: getattr(sim, name) for name in _SIM_FIELDS}
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(obj, f, ensure_ascii=False)
+    save_model(model, args.out)
     log.emit("trained", epochs=len(model.train_log),
              classes=len(model.classes), out=str(args.out))
     return 0
 
 
 def _cmd_predict(args, log: _Log) -> int:
-    with open(args.model, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise TrainError(f"{args.model}: model is not valid JSON ({exc})") from exc
-    model = model_from_dict(obj)
-    sim_cfg = obj.get("sim")
-    if sim_cfg is not None:
-        sim = _sim_from_model(sim_cfg, args.model)
-    else:
-        sim = _sim_from_args(args, args.sim_seed)
+    model = load_model(args.model)
     corpus = load_corpus(args.corpus, "canonical")
-    view = filter_split(corpus, args.split)
-    records = gridmod.eval_records(corpus) if args.split == "test" else view.records
+    records = (gridmod.eval_records(corpus) if args.split == "test"
+               else filter_split(corpus, args.split).records)
     rows = gridmod.prediction_rows(gridmod.predict_records(
-        model, records, sim, oracle_transcripts=args.oracle_transcripts))
-    with open(args.out, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+        model, records, oracle_transcripts=args.oracle_transcripts))
+    write_predictions(args.out, rows)
     log.emit("predicted", records=len(rows), out=str(args.out))
     return 0
 
@@ -134,9 +103,7 @@ def _cmd_evaluate(args, log: _Log) -> int:
                                     args.pred, lineno)
         rows.append(row)
     report = score_prediction_rows(rows, gold_by_id)
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(report_to_dict(report), f, ensure_ascii=False, sort_keys=True,
-                  indent=2)
+    write_json(args.out, report_to_dict(report))
     log.emit("evaluated", n=report.counts["n_utts"],
              intent_accuracy=round(report.intent_accuracy, 6),
              entity_f1=round(report.entity_f1, 6),
@@ -234,10 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out", required=True)
     p.add_argument("--oracle-transcripts", action="store_true",
-                   help="feed gold transcripts instead of simulated speech")
-    p.add_argument("--sim-substitution", type=float, default=0.15)
-    p.add_argument("--sim-deletion", type=float, default=0.10)
-    p.add_argument("--sim-seed", type=int, default=0)
+                   help="feed gold transcripts instead of the model's simulated speech")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")

@@ -141,17 +141,17 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
         raise ConfigError(f"not an experiment manifest: kind={obj.get('kind')!r}")
     if obj.get("manifest_version", 1) != 1:
         raise ConfigError(f"unsupported manifest version {obj.get('manifest_version')!r}")
-    xl = None
-    if obj.get("crosslingual"):
-        raw = obj["crosslingual"]
-        xl = CrossLingualSpec(
-            source=raw["source"],
-            targets=tuple(raw["targets"]),
-            modes=tuple(raw["modes"]),
-            massive=tuple(raw.get("massive", ())),
-            fewshot_pairs=int(raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS)),
-        )
     try:
+        xl = None
+        if obj.get("crosslingual"):
+            raw = obj["crosslingual"]
+            xl = CrossLingualSpec(
+                source=raw["source"],
+                targets=tuple(raw["targets"]),
+                modes=tuple(raw["modes"]),
+                massive=tuple(raw.get("massive", ())),
+                fewshot_pairs=int(raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS)),
+            )
         return ExperimentManifest(
             corpora=dict(obj["corpora"]),
             schemes=tuple(obj.get("schemes", ("text_only", "direct", "curriculum"))),
@@ -164,6 +164,8 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
         )
     except KeyError as exc:
         raise ConfigError(f"manifest missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"manifest has a malformed field ({exc})") from exc
 
 
 def load_manifest(path) -> ExperimentManifest:
@@ -205,7 +207,7 @@ def sim_from_config(cfg: dict, seed: int) -> SpeechSimConfig:
 
 
 # Part of every cell hash: bump it when a cell's outputs change for the same inputs.
-CELL_FORMAT = 1
+CELL_FORMAT = 2
 
 
 def _fmt_level(level: float) -> str:
@@ -224,14 +226,14 @@ def eval_records(corpus: Corpus) -> list:
     return spoken if spoken else text_items(test)
 
 
-def predict_records(model, records, sim: SpeechSimConfig, oracle_transcripts: bool = False,
+def predict_records(model, records, oracle_transcripts: bool = False,
                     features: Optional[FeatureStore] = None) -> list[PredictionRecord]:
-    """Predict each record from its simulated speech (its transcript if it has
-    no speech or ``oracle_transcripts`` is set), reading inputs from
-    ``features`` (a store of its own if None)."""
+    """Predict each record from its speech as simulated by ``model.sim`` (its
+    transcript if it has no speech or ``oracle_transcripts`` is set), reading
+    inputs from ``features`` (a store of its own if None)."""
     features = FeatureStore() if features is None else features
-    rows = [features.row(utt.text, sim if utt.has_speech and not oracle_transcripts else None)
-            for utt in records]
+    sim = None if oracle_transcripts else model.sim
+    rows = [features.row(utt.text, sim if utt.has_speech else None) for utt in records]
     return [PredictionRecord(utt_id=utt.id, gold=utt.label, pred=pred)
             for utt, pred in zip(records, features.predict(model, rows))]
 
@@ -267,9 +269,16 @@ def make_plan_for_corpus(corpus: Corpus, scheme: str, level: float, seed: int,
     return build_plan(config, text_ids, ordering)
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2),
-                    encoding="utf-8")
+def write_json(path, obj) -> None:
+    """The bytes of ``report.json`` and ``meta.json``."""
+    Path(path).write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2),
+                          encoding="utf-8")
+
+
+def write_predictions(path, rows) -> None:
+    """The bytes of ``preds.jsonl``: one sorted-key JSON object per row."""
+    Path(path).write_text("".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+                                  for row in rows), encoding="utf-8")
 
 
 def _write_cell(cell_dir: Path, plan, model, pred_rows, report, meta) -> None:
@@ -278,13 +287,11 @@ def _write_cell(cell_dir: Path, plan, model, pred_rows, report, meta) -> None:
     vouches for half-written files."""
     cell_dir.mkdir(parents=True, exist_ok=True)
     (cell_dir / "meta.json").unlink(missing_ok=True)
-    preds = "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
-                    for row in pred_rows)
     for name, write in (("plan.json", lambda path: save_plan(plan, path)),
                         ("model.json", lambda path: save_model(model, path)),
-                        ("preds.jsonl", lambda path: path.write_text(preds, encoding="utf-8")),
-                        ("report.json", lambda path: _write_json(path, report)),
-                        ("meta.json", lambda path: _write_json(path, meta))):
+                        ("preds.jsonl", lambda path: write_predictions(path, pred_rows)),
+                        ("report.json", lambda path: write_json(path, report)),
+                        ("meta.json", lambda path: write_json(path, meta))):
         write(cell_dir / f"{name}.tmp")
         os.replace(cell_dir / f"{name}.tmp", cell_dir / name)
 
@@ -370,12 +377,12 @@ def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
     corpus, scheme, plan_level, targets = build()
     plan = make_plan_for_corpus(corpus, scheme, plan_level, cell.seed, manifest.epochs)
     recipe = recipe_from_config(manifest.recipe, scheme, manifest.epochs)
-    sim = sim_from_config(manifest.sim, cell.seed)
-    model = train(plan, corpus, recipe, sim, inputs.features)
+    model = train(plan, corpus, recipe, sim_from_config(manifest.sim, cell.seed),
+                  inputs.features)
     xl = manifest.crosslingual is not None
     reports, pred_rows = {}, []
     for target in targets:
-        preds = predict_records(model, eval_records(target), sim, features=inputs.features)
+        preds = predict_records(model, eval_records(target), features=inputs.features)
         reports[target.lang] = report_to_dict(evaluate(preds))
         rows = prediction_rows(preds)
         pred_rows += [{"target_lang": target.lang, **row} for row in rows] if xl else rows

@@ -216,6 +216,8 @@ def plan_from_dict(obj: dict) -> MixPlan:
         return MixPlan(config=config, epochs=epochs, permutation=tuple(obj["permutation"]))
     except KeyError as exc:
         raise PlanError(f"plan missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise PlanError(f"plan has a malformed field ({exc})") from exc
 
 
 def save_plan(plan: MixPlan, path) -> None:

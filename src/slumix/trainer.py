@@ -19,7 +19,7 @@ import base64
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,7 +84,7 @@ def hashed_features(tokens: Sequence[str]) -> dict[int, float]:
 
 @dataclass
 class ModelState:
-    """Learned state: intent weights, filler lexicon, and the training trace."""
+    """Learned state: intent weights, filler lexicon, training trace and speech simulation."""
 
     classes: tuple[tuple[str, str], ...] = ()
     bias: Optional[np.ndarray] = None
@@ -92,6 +92,7 @@ class ModelState:
     filler_lexicon: dict[str, dict[str, int]] = field(default_factory=dict)
     prior_intent: Optional[tuple[str, str]] = None
     train_log: list[dict] = field(default_factory=list)
+    sim: Optional[SpeechSimConfig] = None
 
     @property
     def trained(self) -> bool:
@@ -277,7 +278,8 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     targets = np.array([classes.index(label.intent) for label in labels])
     n_classes = len(classes)
     model = ModelState(classes=classes, bias=np.zeros(n_classes), filler_lexicon=lexicon,
-                       prior_intent=min(intent_counts, key=lambda c: (-intent_counts[c], c)))
+                       prior_intent=min(intent_counts, key=lambda c: (-intent_counts[c], c)),
+                       sim=sim)
 
     # Phase 2 (curriculum only) covers the final epoch; each phase runs its
     # own warmup+decay over its own step span.
@@ -376,7 +378,19 @@ def model_to_dict(model: ModelState) -> dict:
         "filler_lexicon": model.filler_lexicon,
         "prior_intent": None if model.prior_intent is None else list(model.prior_intent),
         "train_log": model.train_log,
+        "sim": asdict(model.sim),
     }
+
+
+def _sim_from_dict(obj) -> SpeechSimConfig:
+    if not isinstance(obj, dict):
+        raise TrainError("model field 'sim' is not an object")
+    for name, value in obj.items():
+        if name not in {f.name for f in fields(SpeechSimConfig)}:
+            raise TrainError(f"model field 'sim' has unknown field {name!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TrainError(f"model field 'sim.{name}' is not a number")
+    return SpeechSimConfig(**obj)
 
 
 def model_from_dict(obj: dict) -> ModelState:
@@ -396,9 +410,12 @@ def model_from_dict(obj: dict) -> ModelState:
             filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
             prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
             train_log=list(obj["train_log"]),
+            sim=_sim_from_dict(obj["sim"]),
         )
     except KeyError as exc:
         raise TrainError(f"model missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise TrainError(f"model has a malformed field ({exc})") from exc
 
 
 def save_model(model: ModelState, path) -> None:
@@ -408,7 +425,14 @@ def save_model(model: ModelState, path) -> None:
 
 def load_model(path) -> ModelState:
     with open(path, "r", encoding="utf-8") as f:
-        return model_from_dict(json.load(f))
+        try:
+            obj = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise TrainError(f"{path}: model is not valid JSON ({exc})") from exc
+    try:
+        return model_from_dict(obj)
+    except TrainError as exc:
+        raise TrainError(f"{path}: {exc}") from exc
 
 
 FREEZE_HINT_TEXT_ONLY = ("audio_encoder", "adapter")

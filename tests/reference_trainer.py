@@ -43,7 +43,7 @@ def train(plan, corpus, recipe, sim):
     classes = tuple(class_set)
     class_idx = {c: k for k, c in enumerate(classes)}
     n_classes = len(classes)
-    model = ModelState(classes=classes, bias=np.zeros(n_classes))
+    model = ModelState(classes=classes, bias=np.zeros(n_classes), sim=sim)
 
     # Phase 2 (curriculum only) covers the final epoch; each phase runs its
     # own warmup+decay over its own step span.

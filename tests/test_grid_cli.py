@@ -510,8 +510,14 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("content", ["{not json", json.dumps([1])],
-                             ids=["not_json", "array"])
+    @pytest.mark.parametrize("content", ["{not json", json.dumps([1]), *[
+        json.dumps({"corpora": {"a": "a.jsonl"}, "seeds": [1], **fields}) for fields in (
+            {"crosslingual": {"targets": ["a"], "modes": ["T"]}},
+            {"crosslingual": ["a"]},
+            {"corpora": ["a.jsonl"]},
+            {"epochs": "x"},
+        )]], ids=["not_json", "array", "crosslingual_no_source", "crosslingual_array",
+                  "corpora_array", "epochs_string"])
     def test_bad_manifest_file_exit_1(self, tmp_path, capsys, content):
         manifest = tmp_path / "m.json"
         manifest.write_text(content)
@@ -520,8 +526,10 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["train", "export-manifest"])
-    @pytest.mark.parametrize("content", ["{not json", json.dumps([1]), json.dumps({})],
-                             ids=["not_json", "array", "missing_field"])
+    @pytest.mark.parametrize("content", [
+        "{not json", json.dumps([1]), json.dumps({}),
+        json.dumps({"config": [1], "epochs": [], "permutation": []}),
+    ], ids=["not_json", "array", "missing_field", "config_array"])
     def test_bad_plan_file_exit_1(self, syn_path, tmp_path, capsys, command, content):
         plan = tmp_path / "plan.json"
         plan.write_text(content)
@@ -562,13 +570,72 @@ class TestCli:
         for cell in cells:
             assert main(["predict", "--model", str(cell / "model.json"),
                          "--corpus", str(syn_path), "--split", "test",
-                         "--sim-seed", str(derive_seed(1, "speech-sim")),
                          "--out", str(tmp_path / "preds.jsonl")]) == 0
             assert (tmp_path / "preds.jsonl").read_bytes() == (cell / "preds.jsonl").read_bytes()
             assert main(["evaluate", "--gold", str(syn_path),
                          "--pred", str(cell / "preds.jsonl"),
                          "--out", str(tmp_path / "report.json")]) == 0
             assert (tmp_path / "report.json").read_bytes() == (cell / "report.json").read_bytes()
+
+    def test_predict_replays_grid_cells_under_their_sim(self, syn_path, tmp_path):
+        # The model file says how speech was simulated, so a non-default sim
+        # section needs no predict option to reproduce the cell.
+        manifest = manifest_to_dict(mini_manifest(syn_path, speech_levels=(0.1,)))
+        manifest["sim"] = {"substitution_rate": 0.3}
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest))
+        runs = tmp_path / "runs"
+        assert main(["grid", "--config", str(manifest_path), "--out", str(runs)]) == 0
+        cells = sorted(p for p in runs.iterdir() if p.is_dir())
+        assert len(cells) == 6
+        for cell in cells:
+            seed = json.loads((cell / "meta.json").read_text())["seed"]
+            assert json.loads((cell / "model.json").read_text())["sim"] == {
+                "substitution_rate": 0.3, "deletion_rate": 0.1,
+                "seed": derive_seed(seed, "speech-sim")}
+            assert main(["predict", "--model", str(cell / "model.json"),
+                         "--corpus", str(syn_path), "--split", "test",
+                         "--out", str(tmp_path / "preds.jsonl")]) == 0
+            assert (tmp_path / "preds.jsonl").read_bytes() == \
+                (cell / "preds.jsonl").read_bytes(), cell.name
+
+    def test_model_without_sim_exit_1(self, syn_path, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert run_grid(mini_manifest(syn_path, schemes=("direct",), speech_levels=(0.1,),
+                                      seeds=(1,)), runs).ok
+        obj = json.loads((runs / "syn__direct__p0.1__s1" / "model.json").read_text())
+        del obj["sim"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(obj))
+        code = main(["predict", "--model", str(model), "--corpus", str(syn_path),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {model}: model missing field 'sim'\n"
+
+    def test_predict_takes_no_sim_options(self, syn_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--sim-seed", "1", "--model", str(tmp_path / "model.json"),
+                  "--corpus", str(syn_path), "--out", str(tmp_path / "preds.jsonl")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("classes", 5), ("filler_lexicon", []), ("weights", "@@"),
+    ], ids=["classes_int", "lexicon_array", "weights_not_base64"])
+    def test_wrong_typed_model_field_exit_1(self, syn_path, tmp_path, capsys, field, value):
+        model = tmp_path / "model.json"
+        assert main(["plan", "--scheme", "direct", "--p", "0.1", "--epochs", "1",
+                     "--seed", "1", "--corpus", str(syn_path),
+                     "--out", str(tmp_path / "plan.json")]) == 0
+        assert main(["train", "--plan", str(tmp_path / "plan.json"), "--corpus", str(syn_path),
+                     "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        obj[field] = value
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--corpus", str(syn_path),
+                     "--out", str(tmp_path / "preds.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: model has a malformed field")
 
     def test_data_error_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

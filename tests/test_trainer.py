@@ -307,7 +307,7 @@ class TestPredictionRoundTrip:
 
     def test_untrained_model_written_as_empty(self):
         corpus = make_synthetic_corpus(20)
-        preds = predict_records(ModelState(), corpus.records, SIM0)
+        preds = predict_records(ModelState(), corpus.records)
         assert {p.pred for p in preds} == {UNPARSEABLE}
         assert {row["pred_raw"] for row in prediction_rows(preds)} == {""}
         assert parse_label("") == UNPARSEABLE

@@ -37,6 +37,7 @@ def assert_same_model(new, old):
         [list(slots) for slots in old.filler_lexicon.values()]
     assert new.prior_intent == old.prior_intent
     assert new.train_log == old.train_log
+    assert new.sim == old.sim
 
 
 def both(plan, corpus, recipe, sim):
@@ -114,8 +115,8 @@ def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
     plan = make_plan_for_corpus(synthetic, "direct", 0.25, 1, 2)
     model = train(plan, synthetic, desk_recipe("direct", epochs=2), sim, store)
     records = synthetic.records
-    shared = predict_records(model, records, sim, oracle_transcripts, features=store)
-    assert shared == predict_records(model, records, sim, oracle_transcripts)
+    shared = predict_records(model, records, oracle_transcripts, features=store)
+    assert shared == predict_records(model, records, oracle_transcripts)
     token_seqs = [simulate_speech(u.text, sim) if u.has_speech and not oracle_transcripts
                   else tokenize(u.text) for u in records]
     assert [r.pred for r in shared] == predict_many(model, token_seqs)
