@@ -17,7 +17,6 @@ from .errors import CorpusFormatError, SlumixError
 from .grid import (
     load_manifest,
     read_rows_csv,
-    recipe_from_config,
     run_grid,
     score_prediction_rows,
     write_json,
@@ -29,6 +28,7 @@ from .report import REPORT_STYLES, render_report
 from .scheduler import load_plan, save_plan
 from .synthetic import make_synthetic_corpus
 from .trainer import SpeechSimConfig, export_manifest, load_model, save_model, train
+from .trainer_recipes import RECIPE_PROFILES
 
 
 class _Log:
@@ -71,8 +71,7 @@ def _cmd_plan(args, log: _Log) -> int:
 def _cmd_train(args, log: _Log) -> int:
     plan = load_plan(args.plan)
     corpus = load_corpus(args.corpus, "canonical")
-    recipe = recipe_from_config({"profile": args.recipe_profile},
-                                plan.config.scheme, plan.config.epochs)
+    recipe = RECIPE_PROFILES[args.recipe_profile]
     sim = SpeechSimConfig(substitution_rate=args.sim_substitution,
                           deletion_rate=args.sim_deletion, seed=args.sim_seed)
     model = train(plan, corpus, recipe, sim)
@@ -142,9 +141,7 @@ def _cmd_grid(args, log: _Log) -> int:
 
 def _cmd_export_manifest(args, log: _Log) -> int:
     plan = load_plan(args.plan)
-    recipe = recipe_from_config({"profile": args.recipe_profile},
-                                plan.config.scheme, plan.config.epochs)
-    export_manifest(plan, recipe, args.corpus_ref, args.out)
+    export_manifest(plan, RECIPE_PROFILES[args.recipe_profile], args.corpus_ref, args.out)
     log.emit("exported", scheme=plan.config.scheme, out=str(args.out))
     return 0
 
@@ -189,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--recipe-profile", choices=("desk", "published"), default="desk")
+    p.add_argument("--recipe-profile", choices=RECIPE_PROFILES, default="desk")
     p.add_argument("--sim-substitution", type=float, default=0.15)
     p.add_argument("--sim-deletion", type=float, default=0.10)
     p.add_argument("--sim-seed", type=int, default=0)
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-manifest",
                        help="export a replayable train manifest for a plan")
     p.add_argument("--plan", required=True)
-    p.add_argument("--recipe-profile", choices=("desk", "published"), default="published")
+    p.add_argument("--recipe-profile", choices=RECIPE_PROFILES, default="published")
     p.add_argument("--corpus-ref", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_manifest)

@@ -68,6 +68,8 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
     if mode not in CROSSLINGUAL_MODES:
         raise ConfigError(f"unknown cross-lingual mode {mode!r} "
                           f"(expected one of {CROSSLINGUAL_MODES})")
+    if fewshot_pairs < 0:
+        raise ConfigError(f"fewshot_pairs must be >= 0 (got {fewshot_pairs})")
     langs = [source.lang] + [t.lang for t in targets]
     if len(set(langs)) != len(langs):
         raise ConfigError(f"source/target languages must be distinct (got {langs})")

@@ -35,8 +35,8 @@ from .corpus import (
     speech_items,
     text_items,
 )
-from .crosslingual import DEFAULT_FEWSHOT_PAIRS, make_crosslingual_corpus
-from .errors import ConfigError, MetricsError
+from .crosslingual import CROSSLINGUAL_MODES, DEFAULT_FEWSHOT_PAIRS, make_crosslingual_corpus
+from .errors import ConfigError, MetricsError, TrainError
 from .labelcodec import parse_label, serialize_label
 from .metrics import (
     MetricReport,
@@ -57,8 +57,8 @@ from .scheduler import (
     speech_budget,
 )
 from .stats import AggregateCell, SeedRun, aggregate, comparison_marks
-from .trainer import FeatureStore, SpeechSimConfig, save_model, train
-from .trainer_recipes import TrainRecipe, desk_recipe, published_recipe
+from .trainer import FeatureStore, SpeechSimConfig, save_model, sim_from_dict, train
+from .trainer_recipes import RECIPE_PROFILES, TrainRecipe
 
 DEFAULT_SPEECH_LEVELS = (0.02, 0.05, 0.10, 0.25, 0.50, 1.0)
 REPORTED_METRICS = ("intent_accuracy", "entity_f1", "slu_f1")
@@ -75,6 +75,14 @@ class CrossLingualSpec:
     massive: tuple[str, ...] = ()
     fewshot_pairs: int = DEFAULT_FEWSHOT_PAIRS
 
+    def __post_init__(self):
+        for mode in self.modes:
+            if mode not in CROSSLINGUAL_MODES:
+                raise ConfigError(f"unknown cross-lingual mode {mode!r} "
+                                  f"(expected one of {CROSSLINGUAL_MODES})")
+        if self.fewshot_pairs < 0:
+            raise ConfigError(f"fewshot_pairs must be >= 0 (got {self.fewshot_pairs})")
+
 
 @dataclass(frozen=True)
 class ExperimentManifest:
@@ -90,12 +98,6 @@ class ExperimentManifest:
     def __post_init__(self):
         if not self.corpora:
             raise ConfigError("manifest needs at least one corpus")
-        by_prefix: dict[str, str] = {}
-        for name in sorted(self.corpora):
-            other = by_prefix.setdefault(_safe_name(name), name)
-            if other != name:
-                raise ConfigError(f"corpora {other!r} and {name!r} share the cell id "
-                                  f"prefix {_safe_name(name)!r}")
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ConfigError(f"unknown scheme {scheme!r}")
@@ -115,6 +117,26 @@ class ExperimentManifest:
             if missing:
                 raise ConfigError(f"cross-lingual section references unknown "
                                   f"corpora: {sorted(missing)}")
+        seen: dict[str, _Cell] = {}
+        for cell in _grid_cells(self):
+            other = seen.setdefault(cell.cell_id, cell)
+            if other is not cell:
+                a, b = ({**c.key, "speech level": c.level, "seed": c.seed}
+                        for c in (other, cell))
+                differ = [f"{k} {a[k]!r} and {b[k]!r}" for k in a if a[k] != b[k]]
+                raise ConfigError(f"{', '.join(differ) or 'two cells'} share the cell id "
+                                  f"{cell.cell_id!r}")
+        self.run_settings()
+
+    def run_settings(self) -> tuple[TrainRecipe, SpeechSimConfig]:
+        """The recipe every cell trains under, and the speech simulation of the
+        ``sim`` section (seed 0: each cell derives its own seed)."""
+        recipe = recipe_from_config(self.recipe)
+        try:
+            sim = sim_from_dict(self.sim, "manifest section 'sim'", seeded=False)
+        except TrainError as exc:
+            raise ConfigError(str(exc)) from exc
+        return recipe, sim
 
 
 def manifest_to_dict(manifest: ExperimentManifest) -> dict:
@@ -177,33 +199,20 @@ def load_manifest(path) -> ExperimentManifest:
     return manifest_from_dict(obj)
 
 
-def recipe_from_config(cfg: dict, scheme: str, epochs: int) -> TrainRecipe:
-    """Materialize the per-scheme recipe from the manifest's recipe section."""
-    cfg = dict(cfg or {})
+def recipe_from_config(cfg: dict) -> TrainRecipe:
+    """The recipe of a manifest's ``recipe`` section: its profile's recipe
+    (``desk`` if none is named) with the section's other fields replaced."""
+    cfg = dict(cfg)
     profile = cfg.pop("profile", "desk")
-    if profile == "desk":
-        base = desk_recipe(scheme, epochs=epochs)
-    elif profile == "published":
-        base = published_recipe(scheme, epochs=epochs)
-    else:
+    if profile not in RECIPE_PROFILES:
         raise ConfigError(f"unknown recipe profile {profile!r}")
-    if scheme != "curriculum":
-        cfg.pop("phase2_peak_lr", None)
-        cfg.pop("phase2_warmup_ratio", None)
-    allowed = {"peak_lr", "warmup_ratio", "batch_size", "grad_accum", "beams",
-               "phase2_peak_lr", "phase2_warmup_ratio"}
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - {f.name for f in dataclasses.fields(TrainRecipe)}
     if unknown:
         raise ConfigError(f"unknown recipe fields: {sorted(unknown)}")
-    return dataclasses.replace(base, **cfg)
-
-
-def sim_from_config(cfg: dict, seed: int) -> SpeechSimConfig:
-    cfg = dict(cfg or {})
-    unknown = set(cfg) - {"substitution_rate", "deletion_rate"}
-    if unknown:
-        raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
-    return SpeechSimConfig(seed=derive_seed(seed, "speech-sim"), **cfg)
+    try:
+        return dataclasses.replace(RECIPE_PROFILES[profile], **cfg)
+    except TrainError as exc:
+        raise ConfigError(f"manifest section 'recipe': {exc}") from exc
 
 
 # Part of every cell hash: bump it when a cell's outputs change for the same inputs.
@@ -335,11 +344,13 @@ def _grid_cells(manifest: ExperimentManifest) -> list[_Cell]:
 
 class _GridInputs:
     """One run's inputs: each corpus file's bytes, read once, with their digest
-    and the corpus parsed from them, each on first use; and one feature store
-    that every cell of the run trains and predicts from."""
+    and the corpus parsed from them, each on first use; the recipe and speech
+    simulation of the manifest; and one feature store that every cell of the
+    run trains and predicts from."""
 
     def __init__(self, manifest: ExperimentManifest):
         self.manifest = manifest
+        self.recipe, self.sim = manifest.run_settings()
         contents = functools.cache(
             lambda name: FileBytes(manifest.corpora[name],
                                    Path(manifest.corpora[name]).read_bytes()))
@@ -376,9 +387,8 @@ def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
         return cell.cell_id, False
     corpus, scheme, plan_level, targets = build()
     plan = make_plan_for_corpus(corpus, scheme, plan_level, cell.seed, manifest.epochs)
-    recipe = recipe_from_config(manifest.recipe, scheme, manifest.epochs)
-    model = train(plan, corpus, recipe, sim_from_config(manifest.sim, cell.seed),
-                  inputs.features)
+    sim = replace(inputs.sim, seed=derive_seed(cell.seed, "speech-sim"))
+    model = train(plan, corpus, inputs.recipe, sim, inputs.features)
     xl = manifest.crosslingual is not None
     reports, pred_rows = {}, []
     for target in targets:

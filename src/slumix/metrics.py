@@ -52,10 +52,6 @@ class MetricReport:
             raise MetricsError(f"unknown metric {metric!r}") from None
 
 
-METRIC_NAMES = ("intent_accuracy", "entity_precision", "entity_recall",
-                "entity_f1", "slu_f1")
-
-
 def _check_records(records) -> list[PredictionRecord]:
     records = list(records)
     if not records:

@@ -27,7 +27,7 @@ import numpy as np
 from .corpus import UNPARSEABLE, Corpus, Entity, SemanticLabel
 from .errors import TrainError
 from .scheduler import MixPlan, derive_rng, epoch_batches, plan_to_dict, plan_totals
-from .trainer_recipes import TrainRecipe, check_recipe_for_scheme, lr_at
+from .trainer_recipes import TrainRecipe, epoch_phases, lr_at
 
 FEATURE_DIM = 2 ** 18  # hashed feature space; crc32 keeps it platform-stable
 _SUB_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -220,7 +220,6 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     feature columns are ranked by first occurrence in the item stream, so the
     model is the same bit for bit.
     """
-    check_recipe_for_scheme(recipe, plan.config.scheme)
     features = FeatureStore() if features is None else features
     by_id = corpus.by_id()
     all_batches = [epoch_batches(plan, e, recipe.batch_size, plan.config.seed)
@@ -281,12 +280,8 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
                        prior_intent=min(intent_counts, key=lambda c: (-intent_counts[c], c)),
                        sim=sim)
 
-    # Phase 2 (curriculum only) covers the final epoch; each phase runs its
-    # own warmup+decay over its own step span.
-    if plan.config.scheme == "curriculum" and plan.config.epochs > 1:
-        phase_of_epoch = [1] * (plan.config.epochs - 1) + [2]
-    else:
-        phase_of_epoch = [1] * plan.config.epochs
+    # Each phase runs its own warmup+decay over its own step span.
+    phase_of_epoch = epoch_phases(plan.config.scheme, plan.config.epochs)
     phase_steps = {1: 0, 2: 0}
     for e0, epoch in enumerate(all_batches):
         phase_steps[phase_of_epoch[e0]] += len(epoch)
@@ -382,15 +377,22 @@ def model_to_dict(model: ModelState) -> dict:
     }
 
 
-def _sim_from_dict(obj) -> SpeechSimConfig:
+def sim_from_dict(obj, where: str, seeded: bool = True) -> SpeechSimConfig:
+    """The speech simulation an object names: known fields only (``seed``
+    only if ``seeded``), each a number that is not a bool. Errors name
+    ``where``, the object's place in its file."""
     if not isinstance(obj, dict):
-        raise TrainError("model field 'sim' is not an object")
+        raise TrainError(f"{where} is not an object")
+    known = {f.name for f in fields(SpeechSimConfig) if seeded or f.name != "seed"}
     for name, value in obj.items():
-        if name not in {f.name for f in fields(SpeechSimConfig)}:
-            raise TrainError(f"model field 'sim' has unknown field {name!r}")
+        if name not in known:
+            raise TrainError(f"{where} has unknown field {name!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TrainError(f"model field 'sim.{name}' is not a number")
-    return SpeechSimConfig(**obj)
+            raise TrainError(f"{where} has a non-numeric field {name!r}")
+    try:
+        return SpeechSimConfig(**obj)
+    except TrainError as exc:
+        raise TrainError(f"{where}: {exc}") from exc
 
 
 def model_from_dict(obj: dict) -> ModelState:
@@ -410,7 +412,7 @@ def model_from_dict(obj: dict) -> ModelState:
             filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
             prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
             train_log=list(obj["train_log"]),
-            sim=_sim_from_dict(obj["sim"]),
+            sim=sim_from_dict(obj["sim"], "model field 'sim'"),
         )
     except KeyError as exc:
         raise TrainError(f"model missing field {exc.args[0]!r}") from exc
@@ -442,21 +444,13 @@ def export_manifest(plan: MixPlan, recipe: TrainRecipe, corpus_ref: str,
                     path=None) -> dict:
     """Replayable description of the run for external (real-model) trainers:
     per-epoch item lists, per-phase LR schedule, batching and decode hints."""
-    check_recipe_for_scheme(recipe, plan.config.scheme)
-    epochs = list(range(1, plan.config.epochs + 1))
-    if plan.config.scheme == "curriculum" and plan.config.epochs > 1:
-        phases = [
-            {"phase": 1, "schedule": "cosine", "peak_lr": recipe.peak_lr,
-             "warmup_ratio": recipe.warmup_ratio, "epochs": epochs[:-1]},
-            {"phase": 2, "schedule": "cosine",
-             "peak_lr": recipe.phase2_peak_lr,
-             "warmup_ratio": recipe.phase2_warmup_ratio, "epochs": epochs[-1:]},
-        ]
-    else:
-        phases = [
-            {"phase": 1, "schedule": "cosine", "peak_lr": recipe.peak_lr,
-             "warmup_ratio": recipe.warmup_ratio, "epochs": epochs},
-        ]
+    phase_of_epoch = epoch_phases(plan.config.scheme, plan.config.epochs)
+    phases = []
+    for phase in sorted(set(phase_of_epoch)):
+        peak_lr, warmup_ratio = recipe.phase_settings(phase)
+        phases.append({"phase": phase, "schedule": "cosine", "peak_lr": peak_lr,
+                       "warmup_ratio": warmup_ratio,
+                       "epochs": [e for e, p in enumerate(phase_of_epoch, 1) if p == phase]})
     manifest = {
         "kind": "train_manifest",
         "manifest_version": 1,

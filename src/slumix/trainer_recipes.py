@@ -3,14 +3,14 @@
 ``published_recipe`` carries the published fine-tuning settings (these are what
 exported manifests echo to external trainers); ``desk_recipe`` scales the
 step sizes up to magnitudes the linear reference learner can actually use.
-Curriculum recipes carry a second, reduced-LR phase for the final epoch.
+Every recipe carries the settings of a second, reduced-LR phase; the scheme
+alone decides whether it runs (``epoch_phases``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import TrainError
 
@@ -19,56 +19,57 @@ from .errors import TrainError
 class TrainRecipe:
     peak_lr: float
     warmup_ratio: float
-    epochs: int
     batch_size: int
     grad_accum: int
     beams: int
-    phase2_peak_lr: Optional[float] = None
-    phase2_warmup_ratio: Optional[float] = None
+    phase2_peak_lr: float
+    phase2_warmup_ratio: float
 
     def __post_init__(self):
-        if self.peak_lr <= 0:
-            raise TrainError(f"peak_lr must be > 0 (got {self.peak_lr})")
-        if not 0 <= self.warmup_ratio < 1:
-            raise TrainError(f"warmup_ratio must be in [0, 1) (got {self.warmup_ratio})")
-        for name in ("epochs", "batch_size", "grad_accum", "beams"):
-            if getattr(self, name) < 1:
-                raise TrainError(f"{name} must be >= 1 (got {getattr(self, name)})")
-        if (self.phase2_peak_lr is None) != (self.phase2_warmup_ratio is None):
-            raise TrainError("phase2_peak_lr and phase2_warmup_ratio go together")
-        if self.phase2_peak_lr is not None:
-            if self.phase2_peak_lr <= 0:
-                raise TrainError("phase2_peak_lr must be > 0")
-            if not 0 <= self.phase2_warmup_ratio < 1:
-                raise TrainError("phase2_warmup_ratio must be in [0, 1)")
+        for name in ("batch_size", "grad_accum", "beams"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise TrainError(f"{name} must be an integer >= 1 (got {value!r})")
+        for name in ("peak_lr", "warmup_ratio", "phase2_peak_lr", "phase2_warmup_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TrainError(f"{name} must be a number (got {value!r})")
+            if name.endswith("peak_lr") and not value > 0:
+                raise TrainError(f"{name} must be > 0 (got {value})")
+            if name.endswith("warmup_ratio") and not 0 <= value < 1:
+                raise TrainError(f"{name} must be in [0, 1) (got {value})")
 
-    @property
-    def has_phase2(self) -> bool:
-        return self.phase2_peak_lr is not None
-
-
-def check_recipe_for_scheme(recipe: TrainRecipe, scheme: str) -> None:
-    """Phase-2 settings exist exactly for curriculum runs."""
-    if scheme == "curriculum" and not recipe.has_phase2:
-        raise TrainError("curriculum runs need phase2_peak_lr/phase2_warmup_ratio")
-    if scheme != "curriculum" and recipe.has_phase2:
-        raise TrainError(f"scheme {scheme!r} must not carry phase-2 settings")
+    def phase_settings(self, phase: int) -> tuple[float, float]:
+        """(peak_lr, warmup_ratio) of phase 1 or 2."""
+        if phase == 1:
+            return self.peak_lr, self.warmup_ratio
+        if phase == 2:
+            return self.phase2_peak_lr, self.phase2_warmup_ratio
+        raise TrainError(f"phase must be 1 or 2 (got {phase})")
 
 
-def published_recipe(scheme: str, epochs: int = 3) -> TrainRecipe:
+def published_recipe() -> TrainRecipe:
     """Published fine-tuning settings, for manifest export."""
-    phase2 = (3.0e-6, 0.02) if scheme == "curriculum" else (None, None)
-    return TrainRecipe(peak_lr=5.0e-6, warmup_ratio=0.04, epochs=epochs,
-                       batch_size=2, grad_accum=8, beams=3,
-                       phase2_peak_lr=phase2[0], phase2_warmup_ratio=phase2[1])
+    return TrainRecipe(peak_lr=5.0e-6, warmup_ratio=0.04, batch_size=2, grad_accum=8, beams=3,
+                       phase2_peak_lr=3.0e-6, phase2_warmup_ratio=0.02)
 
 
-def desk_recipe(scheme: str, epochs: int = 3, batch_size: int = 16) -> TrainRecipe:
+def desk_recipe(batch_size: int = 16) -> TrainRecipe:
     """Settings sized for the linear reference learner."""
-    phase2 = (0.3, 0.02) if scheme == "curriculum" else (None, None)
-    return TrainRecipe(peak_lr=0.5, warmup_ratio=0.04, epochs=epochs,
-                       batch_size=batch_size, grad_accum=1, beams=1,
-                       phase2_peak_lr=phase2[0], phase2_warmup_ratio=phase2[1])
+    return TrainRecipe(peak_lr=0.5, warmup_ratio=0.04, batch_size=batch_size, grad_accum=1,
+                       beams=1, phase2_peak_lr=0.3, phase2_warmup_ratio=0.02)
+
+
+# The recipe of each profile a manifest or ``--recipe-profile`` may name.
+RECIPE_PROFILES = {"desk": desk_recipe(), "published": published_recipe()}
+
+
+def epoch_phases(scheme: str, epochs: int) -> list[int]:
+    """The phase each epoch runs at: curriculum's final epoch at phase 2 (when
+    there are two or more epochs), every other epoch at phase 1."""
+    if scheme == "curriculum" and epochs > 1:
+        return [1] * (epochs - 1) + [2]
+    return [1] * epochs
 
 
 def lr_at(recipe: TrainRecipe, step: int, total_steps: int, phase: int = 1) -> float:
@@ -78,14 +79,7 @@ def lr_at(recipe: TrainRecipe, step: int, total_steps: int, phase: int = 1) -> f
         raise TrainError(f"total_steps must be > 0 (got {total_steps})")
     if not 0 <= step <= total_steps:
         raise TrainError(f"step {step} outside [0, {total_steps}]")
-    if phase == 1:
-        peak, warmup_ratio = recipe.peak_lr, recipe.warmup_ratio
-    elif phase == 2:
-        if not recipe.has_phase2:
-            raise TrainError("recipe has no phase-2 settings")
-        peak, warmup_ratio = recipe.phase2_peak_lr, recipe.phase2_warmup_ratio
-    else:
-        raise TrainError(f"phase must be 1 or 2 (got {phase})")
+    peak, warmup_ratio = recipe.phase_settings(phase)
     warmup_steps = warmup_ratio * total_steps
     if step <= warmup_steps and warmup_steps > 0:
         return peak * step / warmup_steps

@@ -15,7 +15,7 @@ import numpy as np
 from slumix.errors import TrainError
 from slumix.scheduler import epoch_batches, plan_totals
 from slumix.trainer import ModelState, hashed_features, simulate_speech, tokenize
-from slumix.trainer_recipes import check_recipe_for_scheme, lr_at
+from slumix.trainer_recipes import lr_at
 
 
 def _item_tokens(utt, modality, sim):
@@ -26,7 +26,6 @@ def _item_tokens(utt, modality, sim):
 
 def train(plan, corpus, recipe, sim):
     """Run the plan through the reference learner, one item at a time."""
-    check_recipe_for_scheme(recipe, plan.config.scheme)
     by_id = corpus.by_id()
     all_batches = [epoch_batches(plan, e, recipe.batch_size, plan.config.seed)
                    for e in range(1, plan.config.epochs + 1)]

@@ -154,6 +154,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="mode"):
             make_crosslingual_corpus(source, targets, mode="few_shot")
 
+    def test_negative_fewshot_pairs_rejected(self, source, targets):
+        with pytest.raises(ConfigError, match="fewshot_pairs"):
+            make_crosslingual_corpus(source, targets, mode="T", fewshot_pairs=-5)
+
     def test_duplicate_langs_rejected(self, source):
         with pytest.raises(ConfigError, match="distinct"):
             make_crosslingual_corpus(source, [lang_corpus("fr")], mode="T",

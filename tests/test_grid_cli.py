@@ -72,6 +72,30 @@ class TestManifest:
             mini_manifest(syn_path, corpora={"x-y": str(syn_path), "x y": str(syn_path)})
 
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"schemes": ("direct", "direct")}, "two cells share the cell id 'syn__direct__p0.1__s1'"),
+        ({"speech_levels": (0.1, 0.1)}, "two cells share the cell id 'syn__direct__p0.1__s1'"),
+        ({"speech_levels": (0.1234561, 0.1234562)},
+         "speech level 0.1234561 and 0.1234562 share the cell id 'syn__direct__p0.123456__s1'"),
+        ({"crosslingual": CrossLingualSpec(source="syn", targets=(), modes=("T", "T"))},
+         "two cells share the cell id 'xl__T__p0__s1'"),
+    ], ids=["scheme_twice", "level_twice", "levels_formatted_alike", "mode_twice"])
+    def test_repeated_cells_rejected(self, syn_path, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            mini_manifest(syn_path, **{"schemes": ("direct",), "speech_levels": (0.1,),
+                                       "seeds": (1,), **overrides})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"modes": ("T", "Q")}, "unknown cross-lingual mode 'Q'"),
+        ({"modes": ("T",), "fewshot_pairs": -5}, "fewshot_pairs must be >= 0"),
+    ], ids=["unknown_mode", "negative_fewshot_pairs"])
+    def test_bad_crosslingual_section_rejected(self, syn_path, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            mini_manifest(syn_path, crosslingual=CrossLingualSpec(source="syn", targets=(),
+                                                                  **spec))
+
+
 class TestRunGrid:
     def test_cell_count_and_outputs(self, syn_path, tmp_path):
         outcome = run_grid(mini_manifest(syn_path), tmp_path / "runs")
@@ -524,6 +548,31 @@ class TestCli:
         code = main(["grid", "--config", str(manifest), "--out", str(tmp_path / "runs")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("section,value", [
+        ("sim", {"substitution_rate": "x"}),
+        ("sim", {"seed": 3}),
+        ("sim", {"substitution_rate": 2}),
+        ("recipe", {"batch_size": "8"}),
+        ("recipe", {"batch_size": 2.5}),
+        ("recipe", {"phase2_peak_lr": -1}),
+        ("recipe", {"warmup": 0.1}),
+    ], ids=["sim_string", "sim_seed", "sim_out_of_range", "batch_size_string",
+            "batch_size_float", "phase2_peak_lr_negative", "recipe_unknown_field"])
+    def test_bad_recipe_or_sim_exit_1_before_any_cell(self, syn_path, tmp_path, capsys,
+                                                      section, value):
+        manifest = manifest_to_dict(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)))
+        manifest[section] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(value)) in err
+        if section == "sim":
+            assert "manifest section 'sim'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "export-manifest"])
     @pytest.mark.parametrize("content", [

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -37,6 +38,7 @@ from slumix.trainer import (
     save_model,
     tokenize,
 )
+from slumix.trainer_recipes import RECIPE_PROFILES
 
 SIM0 = SpeechSimConfig(substitution_rate=0.0, deletion_rate=0.0, seed=0)
 
@@ -93,8 +95,8 @@ class TestSimulateSpeech:
 
 
 class TestLrSchedule:
-    RECIPE = TrainRecipe(peak_lr=1.0, warmup_ratio=0.1, epochs=3, batch_size=2,
-                         grad_accum=1, beams=1)
+    RECIPE = TrainRecipe(peak_lr=1.0, warmup_ratio=0.1, batch_size=2, grad_accum=1, beams=1,
+                         phase2_peak_lr=0.5, phase2_warmup_ratio=0.0)
 
     def test_warmup_start_is_zero(self):
         assert lr_at(self.RECIPE, 0, 100) == 0.0
@@ -117,7 +119,7 @@ class TestLrSchedule:
             assert abs(a - b) <= bound + 1e-12
 
     def test_phase2_uses_reduced_settings(self):
-        recipe = published_recipe("curriculum")
+        recipe = published_recipe()
         assert lr_at(recipe, 2, 100, phase=2) == pytest.approx(3.0e-6 * 2 / 2.0)
         assert lr_at(recipe, 4, 100, phase=1) == pytest.approx(5.0e-6)
 
@@ -125,48 +127,42 @@ class TestLrSchedule:
         with pytest.raises(TrainError):
             lr_at(self.RECIPE, 0, 0)
 
-    def test_phase2_without_settings_rejected(self):
-        with pytest.raises(TrainError):
-            lr_at(self.RECIPE, 1, 10, phase=2)
-
 
 class TestRecipes:
     def test_published_values(self):
-        recipe = published_recipe("curriculum")
+        recipe = published_recipe()
         assert (recipe.peak_lr, recipe.warmup_ratio) == (5.0e-6, 0.04)
         assert (recipe.phase2_peak_lr, recipe.phase2_warmup_ratio) == (3.0e-6, 0.02)
         assert (recipe.batch_size, recipe.grad_accum, recipe.beams) == (2, 8, 3)
 
-    def test_phase2_only_for_curriculum(self):
-        assert published_recipe("direct").phase2_peak_lr is None
-        with pytest.raises(TrainError):
-            train(plan_for(speech_train_corpus(8), "direct", 0.5),
-                  speech_train_corpus(8), published_recipe("curriculum"), SIM0)
-
-    def test_phase2_pair_enforced(self):
-        with pytest.raises(TrainError):
-            TrainRecipe(peak_lr=1.0, warmup_ratio=0.1, epochs=3, batch_size=2,
-                        grad_accum=1, beams=1, phase2_peak_lr=0.5)
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 2.5), ("batch_size", "8"), ("beams", True), ("grad_accum", 0),
+        ("peak_lr", "x"), ("warmup_ratio", False), ("phase2_peak_lr", -1),
+        ("phase2_warmup_ratio", 1.0),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(TrainError, match=field):
+            dataclasses.replace(desk_recipe(), **{field: value})
 
 
 class TestTrain:
     def test_text_only_consumes_no_speech(self):
         corpus = speech_train_corpus(20)
         model = train(plan_for(corpus, "text_only", 0.0), corpus,
-                      desk_recipe("text_only"), SIM0)
+                      desk_recipe(), SIM0)
         assert [rec["speech_items"] for rec in model.train_log] == [0, 0, 0]
 
     def test_curriculum_speech_counts(self):
         corpus = speech_train_corpus(100)
         model = train(plan_for(corpus, "curriculum", 0.1), corpus,
-                      desk_recipe("curriculum"), SIM0)
+                      desk_recipe(), SIM0)
         assert [rec["speech_items"] for rec in model.train_log] == [0, 0, 30]
 
     def test_item_count_fidelity(self):
         corpus = speech_train_corpus(60)
         for scheme, p in (("text_only", 0.0), ("direct", 0.25), ("curriculum", 0.25)):
             plan = plan_for(corpus, scheme, p)
-            model = train(plan, corpus, desk_recipe(scheme), SIM0)
+            model = train(plan, corpus, desk_recipe(), SIM0)
             totals = plan_totals(plan)
             assert [rec["text_items"] for rec in model.train_log] == \
                 totals["per_epoch_text"]
@@ -177,8 +173,8 @@ class TestTrain:
         corpus = speech_train_corpus(40)
         sim = SpeechSimConfig(substitution_rate=0.2, deletion_rate=0.1, seed=5)
         plan = plan_for(corpus, "direct", 0.5)
-        a = train(plan, corpus, desk_recipe("direct"), sim)
-        b = train(plan, corpus, desk_recipe("direct"), sim)
+        a = train(plan, corpus, desk_recipe(), sim)
+        b = train(plan, corpus, desk_recipe(), sim)
         assert model_to_dict(a) == model_to_dict(b)
 
     def test_unresolved_id(self):
@@ -186,7 +182,7 @@ class TestTrain:
         plan = plan_for(corpus, "direct", 0.5)
         broken = Corpus(name="broken", lang="en", records=corpus.records[:5])
         with pytest.raises(TrainError, match="not found"):
-            train(plan, broken, desk_recipe("direct"), SIM0)
+            train(plan, broken, desk_recipe(), SIM0)
 
     def test_speech_simulated_once_per_item(self, monkeypatch):
         corpus = speech_train_corpus(40)
@@ -199,7 +195,7 @@ class TestTrain:
             return real(text, cfg)
 
         monkeypatch.setattr(trainer_module, "simulate_speech", counting)
-        train(plan, corpus, desk_recipe("direct"), SIM0)
+        train(plan, corpus, desk_recipe(), SIM0)
         speech_texts = {u.text for u in speech_items(filter_split(corpus, "train"))}
         assert plan_totals(plan)["total_speech"] == 3 * len(speech_texts)
         assert set(calls) == speech_texts
@@ -216,7 +212,7 @@ class TestTrain:
 
         monkeypatch.setattr(trainer_module, "plan_totals", skewed)
         with pytest.raises(TrainError, match="diverged from the plan"):
-            train(plan_for(corpus, "direct", 0.5), corpus, desk_recipe("direct"), SIM0)
+            train(plan_for(corpus, "direct", 0.5), corpus, desk_recipe(), SIM0)
 
     def test_empty_plan(self):
         corpus = speech_train_corpus(10)
@@ -224,14 +220,14 @@ class TestTrain:
                                  n_speech=0)
         plan = build_plan(config, [], [])
         with pytest.raises(TrainError, match="no training items"):
-            train(plan, corpus, desk_recipe("text_only"), SIM0)
+            train(plan, corpus, desk_recipe(), SIM0)
 
 
 @pytest.fixture(scope="module")
 def model():
     corpus = speech_train_corpus(80)
     return train(plan_for(corpus, "text_only", 0.0), corpus,
-                 desk_recipe("text_only"), SIM0)
+                 desk_recipe(), SIM0)
 
 
 class TestPredict:
@@ -261,7 +257,7 @@ class TestPredict:
         ]
         corpus = make_corpus(records)
         model = train(plan_for(corpus, "text_only", 0.0), corpus,
-                      desk_recipe("text_only"), SIM0)
+                      desk_recipe(), SIM0)
         label = predict(model, tokenize("drive me to new york"))
         spans = [(e.etype, e.filler) for e in label.entities]
         assert ("place", "new york") in spans
@@ -275,7 +271,7 @@ class TestPredict:
         ]
         corpus = make_corpus(records)
         model = train(plan_for(corpus, "text_only", 0.0), corpus,
-                      desk_recipe("text_only"), SIM0)
+                      desk_recipe(), SIM0)
         # counts accumulate per exposure: 3 epochs x gold occurrences
         assert model.filler_lexicon["alice"] == {"person": 6, "address": 3}
         label = predict(model, ["alice"])
@@ -296,7 +292,7 @@ class TestPredictionRoundTrip:
         corpus = make_synthetic_corpus(200, seed=seed)
         model = train(plan_for(corpus, scheme, 0.0 if scheme == "text_only" else 0.5,
                                epochs=2, seed=seed),
-                      corpus, desk_recipe(scheme, epochs=2), SpeechSimConfig(seed=seed))
+                      corpus, desk_recipe(), SpeechSimConfig(seed=seed))
         token_seqs = [tokenize(u.text) for u in corpus.records]
         for sim in (SpeechSimConfig(seed=seed),
                     SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=seed)):
@@ -317,7 +313,7 @@ class TestSerializationAndEstimator:
     def test_model_roundtrip(self, tmp_path):
         corpus = speech_train_corpus(30)
         model = train(plan_for(corpus, "direct", 0.5), corpus,
-                      desk_recipe("direct"), SIM0)
+                      desk_recipe(), SIM0)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -328,17 +324,36 @@ class TestSerializationAndEstimator:
     def test_foreign_feature_dim_rejected(self):
         corpus = speech_train_corpus(30)
         obj = model_to_dict(train(plan_for(corpus, "direct", 0.5), corpus,
-                                  desk_recipe("direct"), SIM0))
+                                  desk_recipe(), SIM0))
         assert obj["feature_dim"] == trainer_module.FEATURE_DIM
         with pytest.raises(TrainError, match="1024 hashed features"):
             model_from_dict({**obj, "feature_dim": 1024})
 
 
 class TestManifest:
+    @pytest.mark.parametrize("profile,phase1,phase2", [
+        ("desk", (0.5, 0.04), (0.3, 0.02)),
+        ("published", (5.0e-6, 0.04), (3.0e-6, 0.02)),
+    ])
+    @pytest.mark.parametrize("scheme,p,epochs,epochs_by_phase", [
+        ("text_only", 0.0, 3, [[1, 2, 3]]),
+        ("direct", 0.25, 3, [[1, 2, 3]]),
+        ("curriculum", 0.25, 3, [[1, 2], [3]]),
+        ("curriculum", 0.25, 1, [[1]]),
+    ], ids=["text_only", "direct", "curriculum", "curriculum_one_epoch"])
+    def test_lr_phases(self, profile, phase1, phase2, scheme, p, epochs, epochs_by_phase):
+        plan = plan_for(speech_train_corpus(40), scheme, p, epochs=epochs)
+        manifest = export_manifest(plan, RECIPE_PROFILES[profile], "corpus.jsonl")
+        assert manifest["lr_phases"] == [
+            {"phase": n, "schedule": "cosine", "peak_lr": peak_lr, "warmup_ratio": warmup_ratio,
+             "epochs": phase_epochs}
+            for n, ((peak_lr, warmup_ratio), phase_epochs)
+            in enumerate(zip((phase1, phase2), epochs_by_phase), 1)]
+
     def test_curriculum_two_phases(self, tmp_path):
         corpus = speech_train_corpus(40)
         plan = plan_for(corpus, "curriculum", 0.25)
-        manifest = export_manifest(plan, published_recipe("curriculum"), "corpus.jsonl",
+        manifest = export_manifest(plan, published_recipe(), "corpus.jsonl",
                                    tmp_path / "m.json")
         assert manifest["manifest_version"] == 1
         phases = manifest["lr_phases"]
@@ -352,14 +367,14 @@ class TestManifest:
     def test_direct_single_phase(self):
         corpus = speech_train_corpus(40)
         manifest = export_manifest(plan_for(corpus, "direct", 0.25),
-                                   published_recipe("direct"), "corpus.jsonl")
+                                   published_recipe(), "corpus.jsonl")
         assert len(manifest["lr_phases"]) == 1
         assert manifest["freeze"] == []
 
     def test_text_only_freeze_and_empty_speech(self):
         corpus = speech_train_corpus(40)
         manifest = export_manifest(plan_for(corpus, "text_only", 0.0),
-                                   published_recipe("text_only"), "corpus.jsonl")
+                                   published_recipe(), "corpus.jsonl")
         assert manifest["freeze"] == ["audio_encoder", "adapter"]
         assert all(ep["speech_item_ids"] == [] for ep in manifest["epochs"])
 
@@ -376,7 +391,7 @@ class TestMonotoneDataBenefit:
 
         def dev_accuracy(c):
             model = train(plan_for(c, "text_only", 0.0), c,
-                          desk_recipe("text_only"), sim)
+                          desk_recipe(), sim)
             dev = filter_split(c, "dev")
             hits = 0
             for utt in dev.records:

@@ -60,7 +60,7 @@ def synthetic():
 def test_synthetic_grid_cells(synthetic, scheme, level, seed):
     plan = make_plan_for_corpus(synthetic, scheme, level, seed, 3)
     sim = SpeechSimConfig(substitution_rate=0.15, deletion_rate=0.10, seed=seed)
-    both(plan, synthetic, desk_recipe(scheme), sim)
+    both(plan, synthetic, desk_recipe(), sim)
 
 
 @pytest.mark.parametrize("batch_size", [1, 7])
@@ -68,19 +68,19 @@ def test_batch_sizes(synthetic, batch_size):
     plan = make_plan_for_corpus(synthetic, "direct", 0.25, 1, 2)
     if batch_size > 1:
         assert len(epoch_batches(plan, 1, batch_size, 1)[-1]) < batch_size
-    both(plan, synthetic, desk_recipe("direct", epochs=2, batch_size=batch_size), SIM)
+    both(plan, synthetic, desk_recipe(batch_size=batch_size), SIM)
 
 
 def test_curriculum_single_epoch(synthetic):
     plan = make_plan_for_corpus(synthetic, "curriculum", 0.25, 3, 1)
-    model = both(plan, synthetic, desk_recipe("curriculum", epochs=1), SIM)
+    model = both(plan, synthetic, desk_recipe(), SIM)
     assert model.train_log[0]["speech_items"] > 0
 
 
 def test_speech_without_features(synthetic):
     plan = make_plan_for_corpus(synthetic, "direct", 1.0, 1, 2)
     silent = SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=1)
-    both(plan, synthetic, desk_recipe("direct", epochs=2), silent)
+    both(plan, synthetic, desk_recipe(), silent)
 
 
 def test_shared_store_matches_oracle(synthetic):
@@ -100,7 +100,7 @@ def test_shared_store_matches_oracle(synthetic):
     sizes = []
     for scheme, level, seed, batch_size, sim in calls:
         plan = make_plan_for_corpus(synthetic, scheme, level, seed, 2)
-        recipe = desk_recipe(scheme, epochs=2, batch_size=batch_size)
+        recipe = desk_recipe(batch_size=batch_size)
         model = train(plan, synthetic, recipe, sim, store)
         assert_same_model(model, reference_trainer.train(plan, synthetic, recipe, sim))
         sizes.append(len(store))
@@ -113,7 +113,7 @@ def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
     sim = SpeechSimConfig(seed=1)
     store = FeatureStore()
     plan = make_plan_for_corpus(synthetic, "direct", 0.25, 1, 2)
-    model = train(plan, synthetic, desk_recipe("direct", epochs=2), sim, store)
+    model = train(plan, synthetic, desk_recipe(), sim, store)
     records = synthetic.records
     shared = predict_records(model, records, oracle_transcripts, features=store)
     assert shared == predict_records(model, records, oracle_transcripts)
@@ -135,7 +135,7 @@ def test_intent_seen_only_in_speech():
     config = SchedulerConfig(scheme="direct", p=1.0, epochs=3, seed=4,
                              n_speech=len(speech_ids))
     plan = build_plan(config, text_ids, speech_ids)
-    model = both(plan, corpus, desk_recipe("direct", batch_size=4), SIM)
+    model = both(plan, corpus, desk_recipe(batch_size=4), SIM)
     assert ("weather", "query") in model.classes
 
 
