@@ -58,7 +58,7 @@ from .scheduler import (
 )
 from .stats import AggregateCell, SeedRun, aggregate, comparison_marks
 from .trainer import FeatureStore, SpeechSimConfig, save_model, sim_from_dict, train
-from .trainer_recipes import RECIPE_PROFILES, TrainRecipe
+from .trainer_recipes import RECIPE_PROFILES, TrainRecipe, is_int, is_number
 
 DEFAULT_SPEECH_LEVELS = (0.02, 0.05, 0.10, 0.25, 0.50, 1.0)
 REPORTED_METRICS = ("intent_accuracy", "entity_f1", "slu_f1")
@@ -80,6 +80,8 @@ class CrossLingualSpec:
             if mode not in CROSSLINGUAL_MODES:
                 raise ConfigError(f"unknown cross-lingual mode {mode!r} "
                                   f"(expected one of {CROSSLINGUAL_MODES})")
+        if not is_int(self.fewshot_pairs):
+            raise ConfigError(f"fewshot_pairs must be an integer (got {self.fewshot_pairs!r})")
         if self.fewshot_pairs < 0:
             raise ConfigError(f"fewshot_pairs must be >= 0 (got {self.fewshot_pairs})")
 
@@ -102,14 +104,19 @@ class ExperimentManifest:
             if scheme not in SCHEMES:
                 raise ConfigError(f"unknown scheme {scheme!r}")
         for level in self.speech_levels:
+            if not is_number(level):
+                raise ConfigError(f"speech level {level!r} is not a number")
             if not 0 <= level <= 1:
                 raise ConfigError(f"speech level {level} outside [0, 1]")
         if not self.seeds:
             raise ConfigError("manifest needs at least one seed")
+        for seed in self.seeds:
+            if not is_int(seed):
+                raise ConfigError(f"seed {seed!r} is not an integer")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds in manifest")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1 (got {self.epochs})")
+        if not is_int(self.epochs) or self.epochs < 1:
+            raise ConfigError(f"epochs must be an integer >= 1 (got {self.epochs!r})")
         if self.crosslingual is not None:
             names = set(self.corpora)
             missing = ({self.crosslingual.source} | set(self.crosslingual.targets)
@@ -172,14 +179,14 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
                 targets=tuple(raw["targets"]),
                 modes=tuple(raw["modes"]),
                 massive=tuple(raw.get("massive", ())),
-                fewshot_pairs=int(raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS)),
+                fewshot_pairs=raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS),
             )
         return ExperimentManifest(
             corpora=dict(obj["corpora"]),
             schemes=tuple(obj.get("schemes", ("text_only", "direct", "curriculum"))),
             speech_levels=tuple(obj.get("speech_levels", DEFAULT_SPEECH_LEVELS)),
             seeds=tuple(obj["seeds"]),
-            epochs=int(obj.get("epochs", 3)),
+            epochs=obj.get("epochs", 3),
             recipe=dict(obj.get("recipe", {})),
             sim=dict(obj.get("sim", {})),
             crosslingual=xl,

@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from scipy.optimize import linear_sum_assignment
-
 from .corpus import SemanticLabel
 from .errors import MetricsError
 
@@ -104,6 +102,8 @@ def _spans(label: SemanticLabel) -> list[tuple[str, str]]:
 def _max_credit(matrix: list[list[float]]) -> float:
     """Maximum total credit of an injective partial matching. Credits are
     non-negative, so a maximum-weight assignment of the smaller side attains it."""
+    from scipy.optimize import linear_sum_assignment  # imported on first use: slow to load
+
     rows, cols = linear_sum_assignment(matrix, maximize=True)
     return float(sum(matrix[r][c] for r, c in zip(rows, cols)))
 

@@ -221,8 +221,9 @@ def plan_from_dict(obj: dict) -> MixPlan:
 
 
 def save_plan(plan: MixPlan, path) -> None:
+    text = json.dumps(plan_to_dict(plan), ensure_ascii=False, indent=2)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(plan_to_dict(plan), f, ensure_ascii=False, indent=2)
+        f.write(text)
 
 
 def load_plan(path) -> MixPlan:

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.special import stdtrit
-
 from .errors import StatsError
 from .metrics import MetricReport
 
@@ -53,6 +51,8 @@ def t_crit_95(df: int) -> float:
         raise StatsError(f"degrees of freedom must be >= 1 (got {df})")
     if df <= len(_T95):
         return _T95[df - 1]
+    from scipy.special import stdtrit  # imported on first use: slow to load
+
     return float(stdtrit(df, 0.975))
 
 

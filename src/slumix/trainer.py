@@ -27,7 +27,7 @@ import numpy as np
 from .corpus import UNPARSEABLE, Corpus, Entity, SemanticLabel
 from .errors import TrainError
 from .scheduler import MixPlan, derive_rng, epoch_batches, plan_to_dict, plan_totals
-from .trainer_recipes import TrainRecipe, epoch_phases, lr_at
+from .trainer_recipes import TrainRecipe, epoch_phases, is_number, lr_at
 
 FEATURE_DIM = 2 ** 18  # hashed feature space; crc32 keeps it platform-stable
 _SUB_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -120,15 +120,19 @@ class FeatureStore:
     built once: ``sim`` is None for a transcript and the ``SpeechSimConfig``
     for simulated speech. ``row(text, sim)`` returns the input's row number;
     ``tokens``, ``indices`` and ``counts`` hold each row, its features in
-    ``hashed_features`` order. One store may serve any number of ``train``
-    and ``predict_records`` calls, since every row is a pure function of its
-    key; a grid run shares one."""
+    ``hashed_features`` order. ``phase1_states`` holds the state ``train``
+    reaches after curriculum's last phase-1 epoch (bias, the weight rows of
+    the features seen so far, and the phase-1 training log), keyed by what
+    it is computed from, store rows included. One store may serve any number
+    of ``train`` and ``predict_records`` calls, since every row and state is
+    a pure function of its key; a grid run shares one."""
 
     def __init__(self):
         self._rows: dict[tuple[str, Optional[SpeechSimConfig]], int] = {}
         self.tokens: list[tuple[str, ...]] = []
         self.indices: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
+        self.phase1_states: dict[tuple, tuple[np.ndarray, np.ndarray, list[dict]]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -219,6 +223,14 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     order of the per-item loop in ``tests/reference_trainer.py``, and the
     feature columns are ranked by first occurrence in the item stream, so the
     model is the same bit for bit.
+
+    When a phase-2 epoch follows phase 1 (curriculum), the state after the
+    last phase-1 epoch also goes into the store, keyed by all it is computed
+    from: the classes, the recipe, the batches of each phase-1 epoch and each
+    phase-1 item's store row and target. A later call whose phase 1 has the
+    same key, such as curriculum at another speech level of the same corpus
+    and seed, starts from that state at phase 2. Phase-1 features take the
+    lowest columns, so the cached weight rows fit any later call's matrix.
     """
     features = FeatureStore() if features is None else features
     by_id = corpus.by_id()
@@ -230,10 +242,10 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     keys: dict[tuple[str, str], int] = {}  # (item id, modality) -> k, in first-use order
     labels: list[SemanticLabel] = []
     rows: list[int] = []  # store row of each k
-    key_batches = [[] for _ in all_batches]  # per epoch, per batch: key numbers
-    for epoch, epoch_keys in zip(all_batches, key_batches):
+    stream: list[int] = []  # k of each item, in stream order
+    batch_lens: list[int] = []  # items of each batch, in stream order
+    for epoch in all_batches:
         for batch in epoch:
-            ks = []
             for key in batch:
                 k = keys.get(key)
                 if k is None:
@@ -244,13 +256,13 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
                     k = keys[key] = len(labels)
                     labels.append(utt.label)
                     rows.append(features.row(utt.text, sim if modality == "speech" else None))
-                ks.append(k)
-            epoch_keys.append(np.array(ks))
+                stream.append(k)
+            batch_lens.append(len(batch))
+    stream = np.array(stream)
 
     # Counts scaled by each key's multiplicity are the stream's integer sums,
     # and keys in k order touch fillers and entity types in the stream's order.
-    multiplicity = np.bincount(np.concatenate([ks for batches in key_batches
-                                               for ks in batches]), minlength=len(labels))
+    multiplicity = np.bincount(stream, minlength=len(labels))
     lexicon: dict[str, dict[str, int]] = {}
     intent_counts: dict[tuple[str, str], int] = {}
     for label, m in zip(labels, multiplicity.tolist()):
@@ -289,50 +301,93 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     weights = np.zeros((len(vocab), n_classes))
     touched = 0  # feature rows below this have had an update
     step_in_phase = {1: 0, 2: 0}
-    for e0, batches in enumerate(key_batches):
+    start = skip = 0  # first epoch and first batch to run
+    split = phase_of_epoch.index(2) if 2 in phase_of_epoch else None
+    if split is not None:
+        phase1_batches = sum(len(epoch) for epoch in all_batches[:split])
+        phase1 = stream[:sum(batch_lens[:phase1_batches])]
+        phase1_key = (classes, recipe,
+                      tuple(tuple(map(len, epoch)) for epoch in all_batches[:split]),
+                      np.array(rows)[phase1].tobytes(), targets[phase1].tobytes())
+        cached = features.phase1_states.get(phase1_key)
+        if cached is not None:
+            bias, touched_rows, log = cached
+            model.bias = bias.copy()
+            touched = len(touched_rows)
+            weights[:touched] = touched_rows
+            model.train_log = [dict(rec) for rec in log]
+            step_in_phase[1] = phase_steps[1]
+            start, skip = split, phase1_batches
+
+    # Index arrays of every batch to run, built in one pass: run batch j holds
+    # items item_at[j]:item_at[j+1], their feature entries
+    # entry_at[j]:entry_at[j+1] and its distinct columns uniq_at[j]:uniq_at[j+1].
+    n_cols = len(vocab)
+    run_lens = np.array(batch_lens[skip:], dtype=np.int64)
+    run_keys = stream[sum(batch_lens[:skip]):]
+    item_at = np.concatenate(([0], np.cumsum(run_lens)))
+    item_batch = np.repeat(np.arange(len(run_lens)), run_lens)
+    item_row = np.arange(len(run_keys)) - item_at[item_batch]  # row within its batch
+    item_targets = targets[run_keys]
+    item_lens = indptr[run_keys + 1] - indptr[run_keys]
+    entry_start = np.concatenate(([0], np.cumsum(item_lens)))
+    # positions in cols/counts of the items' entries, in item order
+    entries = np.arange(entry_start[-1]) + np.repeat(indptr[run_keys] - entry_start[:-1],
+                                                     item_lens)
+    entry_row = np.repeat(item_row, item_lens)
+    entry_batch = np.repeat(item_batch, item_lens)
+    entry_cols = cols[entries]
+    entry_counts = counts[entries, None]
+    uniq, uniq_inverse = np.unique(entry_batch * n_cols + entry_cols, return_inverse=True)
+    uniq_at = np.searchsorted(uniq, np.arange(len(run_lens) + 1) * n_cols)
+    uniq_inverse -= uniq_at[entry_batch]  # index into the batch's own distinct columns
+    uniq %= max(n_cols, 1)  # each batch's columns, ascending within it
+    entry_at = entry_start[item_at].tolist()
+    item_at, uniq_at = item_at.tolist(), uniq_at.tolist()
+
+    j = 0
+    for e0 in range(start, len(all_batches)):
         phase = phase_of_epoch[e0]
-        n_items = sum(len(ks) for ks in batches)
+        n_items = sum(len(batch) for batch in all_batches[e0])
         n_speech = sum(modality == "speech" for batch in all_batches[e0] for _, modality in batch)
         loss_sum = 0.0
         hits = 0
-        for ks in batches:
+        for _ in all_batches[e0]:
             lr = lr_at(recipe, step_in_phase[phase], phase_steps[phase], phase)
             step_in_phase[phase] += 1
-            rows = np.arange(len(ks))
-            lens = indptr[ks + 1] - indptr[ks]
-            entry_row = np.repeat(rows, lens)
-            # positions in cols/counts of the batch's items' entries, in item order
-            shift = indptr[ks] - (np.cumsum(lens) - lens)
-            entries = np.arange(lens.sum()) + np.repeat(shift, lens)
-            batch_cols = cols[entries]
-            batch_counts = counts[entries, None]
+            i0, i1 = item_at[j], item_at[j + 1]
+            n0, n1 = entry_at[j], entry_at[j + 1]
+            batch_rows = item_row[i0:i1]
+            batch_targets = item_targets[i0:i1]
+            batch_entry_rows = entry_row[n0:n1]
+            batch_counts = entry_counts[n0:n1]
 
             # np.add.at applies entries in order: bias, then each feature in
             # item order, as the per-item sum does.
-            logits = np.tile(model.bias, (len(ks), 1))
-            np.add.at(logits, entry_row, batch_counts * weights[batch_cols])
+            logits = np.tile(model.bias, (i1 - i0, 1))
+            np.add.at(logits, batch_entry_rows, batch_counts * weights[entry_cols[n0:n1]])
             logits -= logits.max(axis=1, keepdims=True)
             probs = np.exp(logits)
             probs /= probs.sum(axis=1, keepdims=True)
-            batch_targets = targets[ks]
-            for p in probs[rows, batch_targets].tolist():
+            for p in probs[batch_rows, batch_targets].tolist():
                 loss_sum += -math.log(max(p, 1e-300))
             hits += int((logits.argmax(axis=1) == batch_targets).sum())
 
             dlogits = probs
-            dlogits[rows, batch_targets] -= 1.0
-            uniq, inverse = np.unique(batch_cols, return_inverse=True)
-            grad = np.zeros((len(uniq), n_classes))
-            np.add.at(grad, inverse, batch_counts * dlogits[entry_row])
-            scale = lr / len(ks)
+            dlogits[batch_rows, batch_targets] -= 1.0
+            batch_uniq = uniq[uniq_at[j]:uniq_at[j + 1]]
+            grad = np.zeros((len(batch_uniq), n_classes))
+            np.add.at(grad, uniq_inverse[n0:n1], batch_counts * dlogits[batch_entry_rows])
+            scale = lr / (i1 - i0)
             # cumsum adds the rows one by one in item order; sum may pair them
             model.bias -= scale * np.cumsum(dlogits, axis=0)[-1]
             # A feature's first update sets it to -scale * g, keeping the sign
             # of zero that the per-item dict of weights would store.
-            first = np.searchsorted(uniq, touched)
-            weights[uniq[:first]] -= scale * grad[:first]
-            weights[uniq[first:]] = -scale * grad[first:]
-            touched += len(uniq) - first
+            first = np.searchsorted(batch_uniq, touched)
+            weights[batch_uniq[:first]] -= scale * grad[:first]
+            weights[batch_uniq[first:]] = -scale * grad[first:]
+            touched += len(batch_uniq) - first
+            j += 1
         model.train_log.append({
             "epoch": e0 + 1,
             "text_items": n_items - n_speech,
@@ -340,6 +395,10 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             "mean_loss": loss_sum / n_items if n_items else 0.0,
             "train_intent_accuracy": hits / n_items if n_items else 0.0,
         })
+        if e0 + 1 == split:
+            features.phase1_states[phase1_key] = (
+                model.bias.copy(), weights[:touched].copy(),
+                [dict(rec) for rec in model.train_log])
     model.weights = {idx: weights[col] for col, idx in enumerate(vocab)}
 
     totals = plan_totals(plan)
@@ -387,7 +446,7 @@ def sim_from_dict(obj, where: str, seeded: bool = True) -> SpeechSimConfig:
     for name, value in obj.items():
         if name not in known:
             raise TrainError(f"{where} has unknown field {name!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(value):
             raise TrainError(f"{where} has a non-numeric field {name!r}")
     try:
         return SpeechSimConfig(**obj)
@@ -421,8 +480,10 @@ def model_from_dict(obj: dict) -> ModelState:
 
 
 def save_model(model: ModelState, path) -> None:
+    # One string, one write: json.dump streams through the pure-Python encoder.
+    text = json.dumps(model_to_dict(model), ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_dict(model), f, ensure_ascii=False)
+        f.write(text)
 
 
 def load_model(path) -> ModelState:
@@ -469,6 +530,7 @@ def export_manifest(plan: MixPlan, recipe: TrainRecipe, corpus_ref: str,
         "totals": plan_totals(plan),
     }
     if path is not None:
+        text = json.dumps(manifest, ensure_ascii=False, indent=2)
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, ensure_ascii=False, indent=2)
+            f.write(text)
     return manifest

@@ -15,6 +15,16 @@ from dataclasses import dataclass
 from .errors import TrainError
 
 
+def is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``: the integer rule of recipe and manifest fields."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An ``int`` or a ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainRecipe:
     peak_lr: float
@@ -28,11 +38,11 @@ class TrainRecipe:
     def __post_init__(self):
         for name in ("batch_size", "grad_accum", "beams"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not is_int(value) or value < 1:
                 raise TrainError(f"{name} must be an integer >= 1 (got {value!r})")
         for name in ("peak_lr", "warmup_ratio", "phase2_peak_lr", "phase2_warmup_ratio"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise TrainError(f"{name} must be a number (got {value!r})")
             if name.endswith("peak_lr") and not value > 0:
                 raise TrainError(f"{name} must be > 0 (got {value})")

@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import slumix
 import slumix.grid
 import slumix.trainer
 from slumix import make_synthetic_corpus, save_corpus
@@ -394,6 +399,17 @@ def test_crosslingual_added_seed_runs_only_its_cells(xl_setup, tmp_path):
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported on first use, by scoring and by large-df aggregation.
+        src = str(Path(slumix.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, slumix.cli; "
+                "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "[]\n"
+
     def test_full_pipeline(self, tmp_path, capsys):
         d = tmp_path
         assert main(["synth", "--n", "200", "--seed", "3",
@@ -572,6 +588,31 @@ class TestCli:
         assert next(iter(value)) in err
         if section == "sim":
             assert "manifest section 'sim'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("seeds", [1, 1.5], "seed 1.5 is not an integer"),
+        ("seeds", [True], "seed True is not an integer"),
+        ("epochs", 2.9, "epochs must be an integer >= 1 (got 2.9)"),
+        ("epochs", "5", "epochs must be an integer >= 1 (got '5')"),
+        ("speech_levels", [True], "speech level True is not a number"),
+        ("fewshot_pairs", 7.8, "fewshot_pairs must be an integer (got 7.8)"),
+    ], ids=["fractional_seed", "bool_seed", "fractional_epochs", "string_epochs",
+            "bool_level", "fractional_fewshot_pairs"])
+    def test_non_integer_manifest_number_exit_1_before_any_cell(self, syn_path, tmp_path,
+                                                                 capsys, field, value,
+                                                                 message):
+        manifest = manifest_to_dict(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)))
+        if field == "fewshot_pairs":
+            manifest["crosslingual"] = {"source": "syn", "targets": [], "modes": ["T"],
+                                        field: value}
+        else:
+            manifest[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "export-manifest"])

@@ -5,9 +5,12 @@ difference in a weight, the bias, the lexicon (including its key order) or
 the training log is a defect, not rounding.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import reference_trainer
+import slumix.trainer
 from conftest import make_corpus, make_utt
 from slumix import (
     ExperimentManifest,
@@ -44,6 +47,20 @@ def both(plan, corpus, recipe, sim):
     new = train(plan, corpus, recipe, sim)
     assert_same_model(new, reference_trainer.train(plan, corpus, recipe, sim))
     return new
+
+
+def speech_only_intent_corpus():
+    """Two text-only intents and a third carried only by speech-only records:
+    the corpus, its text ids and its speech ids."""
+    records = [make_utt(f"t{i}", f"wake me at {i} am", "alarm", "set",
+                        [("time", f"{i} am")]) for i in range(6)]
+    records += [make_utt(f"m{i}", f"play song {i}", "music", "play",
+                         [("song", f"song {i}")]) for i in range(6)]
+    records += [make_utt(f"s{i}", f"is it raining in city {i}", "weather", "query",
+                         [("place", f"city {i}")], speech=True) for i in range(5)]
+    text_ids = [r.id for r in records if r.speech_ref is None]
+    speech_ids = [r.id for r in records if r.speech_ref is not None]
+    return make_corpus(records), text_ids, speech_ids
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +125,88 @@ def test_shared_store_matches_oracle(synthetic):
     assert sizes[2] == sizes[1] < sizes[3] < sizes[5]
 
 
+@pytest.mark.parametrize("levels", [(0.02, 0.25, 1.0), (1.0, 0.25, 0.02)],
+                         ids=["ascending", "descending"])
+def test_curriculum_levels_share_phase1_state(synthetic, levels):
+    # Curriculum's phase-1 epochs read the same transcripts at every level of
+    # one seed, so each seed's phase-1 state is computed once and reused.
+    store = FeatureStore()
+    for seed in (1, 2):
+        sim = SpeechSimConfig(seed=seed)
+        for level in levels:
+            plan = make_plan_for_corpus(synthetic, "curriculum", level, seed, 3)
+            model = train(plan, synthetic, desk_recipe(), sim, store)
+            assert_same_model(model, reference_trainer.train(plan, synthetic, desk_recipe(),
+                                                             sim))
+    assert len(store.phase1_states) == 2
+
+
+def test_curriculum_phase1_state_not_reused_across_classes():
+    # Only the higher level adds the speech-only intent; its phase-1 epochs see
+    # the same rows and targets, but the model has one more class.
+    corpus, text_ids, speech_ids = speech_only_intent_corpus()
+    store = FeatureStore()
+    recipe = desk_recipe(batch_size=4)
+    for level in (0.0, 1.0):
+        config = SchedulerConfig(scheme="curriculum", p=level, epochs=3, seed=4,
+                                 n_speech=len(speech_ids))
+        plan = build_plan(config, text_ids, speech_ids)
+        model = train(plan, corpus, recipe, SIM, store)
+        assert_same_model(model, reference_trainer.train(plan, corpus, recipe, SIM))
+        assert (("weather", "query") in model.classes) == (level > 0)
+    assert len(store.phase1_states) == 2
+
+
+def test_curriculum_phase1_state_not_reused_across_targets():
+    # Two corpora with the same ids, texts and classes whose intents are
+    # swapped: phase 1 reads the same store rows with other targets.
+    def corpus(intents):
+        return make_corpus([make_utt(f"u{i}", f"turn it up {i} times", *intents[i % 2],
+                                     speech=i % 3 == 0) for i in range(12)])
+
+    store = FeatureStore()
+    recipe = desk_recipe(batch_size=4)
+    for swapped in (False, True):
+        intents = [("alarm", "set"), ("music", "play")]
+        data = corpus(intents[::-1] if swapped else intents)
+        plan = make_plan_for_corpus(data, "curriculum", 1.0, 2, 3)
+        model = train(plan, data, recipe, SIM, store)
+        assert_same_model(model, reference_trainer.train(plan, data, recipe, SIM))
+    assert len(store.phase1_states) == 2
+
+
+@pytest.mark.parametrize("recipes", [
+    (desk_recipe(batch_size=7), desk_recipe(batch_size=16)),
+    (desk_recipe(), replace(desk_recipe(), peak_lr=0.4)),
+], ids=["batch_size", "peak_lr"])
+def test_curriculum_phase1_state_not_reused_across_recipes(synthetic, recipes):
+    store = FeatureStore()
+    sim = SpeechSimConfig(seed=1)
+    for recipe, level in zip(recipes, (0.25, 1.0)):
+        plan = make_plan_for_corpus(synthetic, "curriculum", level, 1, 3)
+        model = train(plan, synthetic, recipe, sim, store)
+        assert_same_model(model, reference_trainer.train(plan, synthetic, recipe, sim))
+    assert len(store.phase1_states) == 2
+
+
+def test_reused_phase1_state_runs_only_the_final_epoch(synthetic, monkeypatch):
+    steps = []
+    lr_at = slumix.trainer.lr_at
+    monkeypatch.setattr(slumix.trainer, "lr_at",
+                        lambda recipe, step, total, phase: steps.append(phase)
+                        or lr_at(recipe, step, total, phase))
+    store = FeatureStore()
+    sim = SpeechSimConfig(seed=1)
+    plans = [make_plan_for_corpus(synthetic, "curriculum", level, 1, 3)
+             for level in (0.25, 1.0)]
+    train(plans[0], synthetic, desk_recipe(), sim, store)
+    batches = [len(epoch_batches(plans[0], e, 16, 1)) for e in (1, 2, 3)]
+    assert steps == [1] * (batches[0] + batches[1]) + [2] * batches[2]
+    steps.clear()
+    train(plans[1], synthetic, desk_recipe(), sim, store)
+    assert steps == [2] * len(epoch_batches(plans[1], 3, 16, 1))
+
+
 @pytest.mark.parametrize("oracle_transcripts", [False, True])
 def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
     sim = SpeechSimConfig(seed=1)
@@ -123,15 +222,7 @@ def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
 
 
 def test_intent_seen_only_in_speech():
-    records = [make_utt(f"t{i}", f"wake me at {i} am", "alarm", "set",
-                        [("time", f"{i} am")]) for i in range(6)]
-    records += [make_utt(f"m{i}", f"play song {i}", "music", "play",
-                         [("song", f"song {i}")]) for i in range(6)]
-    records += [make_utt(f"s{i}", f"is it raining in city {i}", "weather", "query",
-                         [("place", f"city {i}")], speech=True) for i in range(5)]
-    corpus = make_corpus(records)
-    text_ids = [r.id for r in records if r.speech_ref is None]
-    speech_ids = [r.id for r in records if r.speech_ref is not None]
+    corpus, text_ids, speech_ids = speech_only_intent_corpus()
     config = SchedulerConfig(scheme="direct", p=1.0, epochs=3, seed=4,
                              n_speech=len(speech_ids))
     plan = build_plan(config, text_ids, speech_ids)
