@@ -26,19 +26,12 @@ from .errors import (
     LabelFormatError,
     MetricsError,
     PlanError,
-    PromptError,
     SlumixError,
     StatsError,
     TrainError,
 )
 from .grid import ExperimentManifest, load_manifest, run_grid
-from .labelcodec import (
-    DEFAULT_TEMPLATE,
-    PromptTemplate,
-    build_prompt,
-    parse_label,
-    serialize_label,
-)
+from .labelcodec import parse_label, serialize_label
 from .metrics import (
     MetricReport,
     PredictionRecord,
@@ -72,7 +65,6 @@ from .trainer import (
     ModelState,
     SpeechSimConfig,
     export_manifest,
-    predict,
     simulate_speech,
     train,
 )
@@ -82,17 +74,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateCell", "ComparisonMark", "ConfigError", "Corpus",
-    "CorpusFormatError", "CROSSLINGUAL_MODES", "DEFAULT_TEMPLATE", "Entity",
+    "CorpusFormatError", "CROSSLINGUAL_MODES", "Entity",
     "EpochPlan", "ExperimentManifest", "LabelFormatError", "MetricReport",
     "MetricsError", "MixPlan", "ModelState", "PlanError", "PredictionRecord",
-    "PromptError", "PromptTemplate", "SchedulerConfig",
+    "SchedulerConfig",
     "SeedRun", "SemanticLabel", "SlumixError", "SpeechSimConfig", "StatsError",
     "TrainError", "TrainRecipe", "Utterance", "aggregate", "build_plan",
-    "build_prompt", "corpus_stats", "desk_recipe", "entity_prf", "epoch_batches",
+    "corpus_stats", "desk_recipe", "entity_prf", "epoch_batches",
     "evaluate", "export_manifest", "filter_split", "intent_accuracy",
     "load_corpus", "load_manifest", "lr_at", "make_crosslingual_corpus",
     "make_synthetic_corpus", "nested_permutation", "published_recipe", "parse_label",
-    "plan_totals", "predict", "relative_improvement", "render_report",
+    "plan_totals", "relative_improvement", "render_report",
     "run_grid", "save_corpus", "serialize_label", "significant", "simulate_speech",
     "slu_f1", "speech_budget", "speech_items", "t_crit_95", "text_items", "train",
     "validate_corpus",

@@ -12,7 +12,15 @@ import sys
 from pathlib import Path
 
 from . import grid as gridmod
-from .corpus import PROFILES, SPLITS, _load_jsonl, filter_split, load_corpus, save_corpus
+from .corpus import (
+    PROFILES,
+    SPLITS,
+    _load_jsonl,
+    corpus_stats,
+    filter_split,
+    load_corpus,
+    save_corpus,
+)
 from .errors import CorpusFormatError, SlumixError
 from .grid import (
     load_manifest,
@@ -48,7 +56,9 @@ def _cmd_ingest(args, log: _Log) -> int:
     corpus = load_corpus(args.infile, args.profile, name=args.name,
                          pairing=args.pairing, default_lang=args.lang)
     save_corpus(corpus, args.out)
-    log.emit("ingested", records=len(corpus), lang=corpus.lang, out=str(args.out))
+    counts = {f"{split}_{kind}": n for split, by_kind in corpus_stats(corpus).items()
+              for kind, n in by_kind.items()}
+    log.emit("ingested", records=len(corpus), lang=corpus.lang, **counts, out=str(args.out))
     return 0
 
 

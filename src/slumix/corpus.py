@@ -14,7 +14,8 @@ transcripts and the number of speech records differ.
 
 Records that repeat a label share one ``SemanticLabel``: a load builds,
 normalizes and checks each distinct label once, and still checks every
-record's own fields, each with its path and line.
+record's own fields, each with its path and line. A save encodes each shared
+label once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Iterable, Optional
 
 from .errors import CorpusFormatError
@@ -36,12 +38,10 @@ _SPLIT_ALIASES = {"train": "train", "dev": "dev", "validation": "dev", "val": "d
 # label field.
 DELIMITER_CHARS = frozenset("|;:[]")
 
-_WS_RE = re.compile(r"\s+")
-
 
 def normalize_space(value: str) -> str:
     """Trim and collapse internal whitespace runs to single spaces."""
-    return _WS_RE.sub(" ", value.strip())
+    return " ".join(value.split())
 
 
 # The two label-field normalizations return an already-normalized value as the
@@ -369,7 +369,8 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
             if not ref:
                 raise CorpusFormatError(
                     f"record {base_id!r}: recording #{i} has no file", path, lineno)
-            yield replace(text_utt, id=f"{base_id}#r{i}", speech_ref=str(ref))
+            yield Utterance(id=f"{base_id}#r{i}", lang=lang, split=split, text=text,
+                            label=label, speech_ref=str(ref))
 
 
 def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
@@ -419,11 +420,36 @@ def load_corpus(path, profile: str = "canonical", *, name: Optional[str] = None,
     return corpus
 
 
+def _head_json(utt: Utterance) -> str:
+    """``json.dumps(utt.to_dict(), ensure_ascii=False)`` up to the label's
+    fields: the record's own fields, each string encoded as that call does."""
+    enc = encode_basestring
+    head = (f'{{"id": {enc(utt.id)}, "lang": {enc(utt.lang)}, '
+            f'"split": {enc(utt.split)}, "text": {enc(utt.text)}')
+    if utt.speech_ref is None:
+        return head
+    return f'{head}, "speech_ref": {enc(utt.speech_ref)}'
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write the canonical JSONL representation."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Write the canonical JSONL representation: one line
+    ``json.dumps(utt.to_dict(), ensure_ascii=False)`` per record.
+
+    Each label object's fields are encoded once, so records that share a
+    label (a SLURP sentence's recordings) share its encoding."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    # id(label) -> the line's tail from the label's first field on.
+    tails: dict[int, str] = {}
+
+    def lines():
         for utt in corpus.records:
-            f.write(json.dumps(utt.to_dict(), ensure_ascii=False) + "\n")
+            tail = tails.get(id(utt.label))
+            if tail is None:
+                tail = tails[id(utt.label)] = ", " + encode(utt.label.to_dict())[1:] + "\n"
+            yield _head_json(utt) + tail
+
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(lines())
 
 
 def filter_split(corpus: Corpus, split: str) -> Corpus:
@@ -455,10 +481,12 @@ def speech_items(corpus: Corpus) -> list[Utterance]:
 
 
 def corpus_stats(corpus: Corpus) -> dict[str, dict[str, int]]:
-    """Per-split counts of text-label and speech-label pairs."""
-    stats = {split: {"text": 0, "speech": 0} for split in SPLITS}
-    for split in SPLITS:
-        view = filter_split(corpus, split)
-        stats[split]["text"] = len(text_items(view))
-        stats[split]["speech"] = len(speech_items(view))
-    return stats
+    """Per-split counts of text-label pairs (distinct transcripts, as
+    ``text_items`` picks them) and speech-label pairs (``speech_items``)."""
+    texts: dict[str, set[str]] = {split: set() for split in SPLITS}
+    speech = dict.fromkeys(SPLITS, 0)
+    for utt in corpus.records:
+        if utt.split in texts:
+            texts[utt.split].add(utt.text)
+            speech[utt.split] += utt.has_speech
+    return {split: {"text": len(texts[split]), "speech": speech[split]} for split in SPLITS}

@@ -25,10 +25,6 @@ class LabelFormatError(SlumixError):
     """A semantic label cannot be serialized (delimiter or empty-field issue)."""
 
 
-class PromptError(SlumixError):
-    """A prompt template is malformed or missing its payload placeholder."""
-
-
 class PlanError(SlumixError):
     """A scheduling request is inconsistent (bad proportion, budget, epoch...)."""
 

@@ -21,13 +21,9 @@ consume free-form model output.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .corpus import UNPARSEABLE, Entity, SemanticLabel, label_fault
-from .errors import LabelFormatError, PromptError
-
-PAYLOAD_PLACEHOLDER = "{payload}"
-SPEECH_PLACEHOLDER = "<speech>"
+from .errors import LabelFormatError
 
 
 def serialize_label(label: SemanticLabel) -> str:
@@ -79,51 +75,3 @@ def parse_label(text) -> SemanticLabel:
         return label if label.scenario and label.action else UNPARSEABLE
     except Exception:
         return UNPARSEABLE
-
-
-DEFAULT_OUTPUT_CONTRACT = (
-    "Reply with one line of the form "
-    "`scenario: <value> | action: <value> | entities: [<type>: <filler>; ...]` "
-    "(use `[]` when there are no slots)."
-)
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Instruction text plus the description of the expected output fields.
-
-    The combined prompt wording must name scenario, action and entities
-    exactly once each, so the output contract is unambiguous; the instruction
-    must contain the ``{payload}`` slot for the transcript or speech
-    placeholder.
-    """
-
-    instruction: str
-    output_contract: str = DEFAULT_OUTPUT_CONTRACT
-
-    def __post_init__(self):
-        combined = f"{self.instruction}\n{self.output_contract}"
-        for word in ("scenario", "action", "entities"):
-            n = len(re.findall(rf"\b{word}\b", combined, re.IGNORECASE))
-            if n != 1:
-                raise PromptError(
-                    f"template must name {word!r} exactly once (found {n})")
-
-    def render(self) -> str:
-        return f"{self.instruction}\n{self.output_contract}"
-
-
-DEFAULT_TEMPLATE = PromptTemplate(
-    instruction=(
-        "Extract the meaning of the following utterance into the structured "
-        "form below.\nUtterance: {payload}"
-    ),
-)
-
-
-def build_prompt(template: PromptTemplate, payload: str) -> str:
-    """Fill the payload slot; the instruction text is modality-independent."""
-    rendered = template.render()
-    if PAYLOAD_PLACEHOLDER not in rendered:
-        raise PromptError(f"template has no {PAYLOAD_PLACEHOLDER} placeholder")
-    return rendered.replace(PAYLOAD_PLACEHOLDER, payload)

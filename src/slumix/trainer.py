@@ -142,38 +142,23 @@ class FeatureStore:
         if k is None:
             k = self._rows[(text, sim)] = len(self.tokens)
             tokens = tokenize(text) if sim is None else simulate_speech(text, sim)
-            self._append(tokens)
+            feats = hashed_features(tokens)
+            self.tokens.append(tuple(tokens))
+            self.indices.append(np.fromiter(feats, dtype=np.int64, count=len(feats)))
+            self.counts.append(np.fromiter(feats.values(), dtype=np.float64,
+                                           count=len(feats)))
         return k
 
-    def _append(self, tokens: Sequence[str]) -> None:
-        feats = hashed_features(tokens)
-        self.tokens.append(tuple(tokens))
-        self.indices.append(np.fromiter(feats, dtype=np.int64, count=len(feats)))
-        self.counts.append(np.fromiter(feats.values(), dtype=np.float64, count=len(feats)))
-
     def predict(self, model: ModelState, rows: Sequence[int]) -> list[SemanticLabel]:
-        """``predict`` for each row, building the lexicon index once."""
+        """The model's label for each row: intent by argmax over the linear
+        model; entities by longest-match scan of the row's tokens against the
+        learned filler lexicon (left to right, non-overlapping). An untrained
+        model gives unparseable labels."""
         if not model.trained:
             return [UNPARSEABLE] * len(rows)
         index, max_len = _lexicon_index(model.filler_lexicon)
         return [_predict(model, self.tokens[k], self.indices[k].tolist(),
                          self.counts[k].tolist(), index, max_len) for k in rows]
-
-
-def predict(model: ModelState, tokens: Sequence[str]) -> SemanticLabel:
-    """Intent by argmax over the linear model; entities by longest-match scan
-    of the input against the learned filler lexicon (left to right,
-    non-overlapping)."""
-    return predict_many(model, [tokens])[0]
-
-
-def predict_many(model: ModelState,
-                 token_seqs: Sequence[Sequence[str]]) -> list[SemanticLabel]:
-    """``predict`` for each token sequence, building the lexicon index once."""
-    store = FeatureStore()
-    for tokens in token_seqs:
-        store._append(tokens)
-    return store.predict(model, range(len(store)))
 
 
 def _predict(model: ModelState, tokens: Sequence[str], indices: list[int],

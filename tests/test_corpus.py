@@ -1,7 +1,11 @@
 import json
 import re
+import sys
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import slumix.corpus
 from conftest import make_corpus, make_utt
@@ -10,6 +14,7 @@ from slumix import (
     CorpusFormatError,
     Entity,
     SemanticLabel,
+    Utterance,
     corpus_stats,
     filter_split,
     load_corpus,
@@ -19,6 +24,7 @@ from slumix import (
     text_items,
     validate_corpus,
 )
+from slumix.corpus import UNPARSEABLE
 
 
 def write_jsonl(path, rows):
@@ -158,15 +164,14 @@ class TestCanonicalProfile:
         path = tmp_path / "syn.jsonl"
         save_corpus(make_synthetic_corpus(200), path)
         calls = []
-        replace = slumix.corpus.replace
 
-        def counting(obj, **changes):
-            calls.append(changes)
-            return replace(obj, **changes)
+        def counting(**fields):
+            calls.append(fields["id"])
+            return Utterance(**fields)
 
-        monkeypatch.setattr(slumix.corpus, "replace", counting)
-        load_corpus(path, "canonical")
-        assert calls == []
+        monkeypatch.setattr(slumix.corpus, "Utterance", counting)
+        corpus = load_corpus(path, "canonical")
+        assert calls == [r.id for r in corpus.records]
 
     def test_unparseable_gold_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -243,6 +248,23 @@ class TestSlurpProfile:
         corpus = load_corpus(path, "slurp", pairing="one")
         assert corpus_stats(corpus)["train"] == {"text": 1, "speech": 1}
         assert speech_items(corpus)[0].speech_ref == "audio-1-0.flac"
+
+    @pytest.mark.parametrize("pairing", ["all", "one"])
+    def test_recording_records_copy_their_text_record(self, tmp_path, pairing):
+        path = tmp_path / "slurp.jsonl"
+        rows = [self.slurp_row(1, 3), self.slurp_row(2, 0, split="dev"),
+                {**self.slurp_row(3, 2, split="test"), "recordings": ["a.flac", "b.flac"]}]
+        write_jsonl(path, rows)
+        records = load_corpus(path, "slurp", pairing=pairing).records
+        expected = []
+        for row, text_utt in zip(rows, [r for r in records if not r.has_speech]):
+            files = [rec["file"] if isinstance(rec, dict) else rec for rec in row["recordings"]]
+            expected.append(text_utt)
+            expected += [replace(text_utt, id=f"{text_utt.id}#r{i}", speech_ref=ref)
+                         for i, ref in enumerate(files[:1] if pairing == "one" else files)]
+        assert records == expected
+        text_utts = {r.id: r for r in records if not r.has_speech}
+        assert all(r.label is text_utts[r.id.split("#")[0]].label for r in records)
 
     def test_realistic_slurp_train_counts(self, tmp_path):
         # 11,514 sentences carrying 50,628 recordings in total.
@@ -364,3 +386,65 @@ class TestLabels:
         assert rebuilt == label
         assert rebuilt.scenario is label.scenario
         assert rebuilt.entities[0].filler is label.entities[0].filler
+
+
+# Every character str.isspace accepts; re's \s matches the same ones.
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+class TestNormalizeSpace:
+    @staticmethod
+    def regex_normalize(value):
+        return re.sub(r"\s+", " ", value.strip())
+
+    def test_the_29_whitespace_characters(self):
+        assert len(WHITESPACE) == 29
+        assert all(re.fullmatch(r"\s", c) for c in WHITESPACE)
+        for c in WHITESPACE:
+            for value in (c, f"{c}a{c}", f"a{c}{c}b", f"{c} a {c}\u00a0b{c}{c}"):
+                assert slumix.corpus.normalize_space(value) == self.regex_normalize(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(WHITESPACE) | st.characters(), max_size=40))
+    def test_matches_regex_on_fuzzed_strings(self, value):
+        assert slumix.corpus.normalize_space(value) == self.regex_normalize(value)
+
+
+# Text with JSON escapes (quotes, backslashes, control characters), U+2028 and
+# non-ASCII characters.
+_TRICKY = st.text(alphabet=st.sampled_from('ab "\\\x00\x1f\t\n\u2028\u00e9\u4e2d\U0001f600|'),
+                  max_size=12)
+
+
+@st.composite
+def corpora(draw):
+    """Records over a small pool of label objects (the unparseable label
+    among them): a record shares a pool label, or carries an equal label that
+    is a distinct object."""
+    pool = draw(st.lists(st.builds(
+        SemanticLabel, _TRICKY, _TRICKY,
+        st.lists(st.builds(Entity, _TRICKY, _TRICKY), max_size=3).map(tuple))
+        | st.just(UNPARSEABLE), min_size=1, max_size=4))
+    records = []
+    for i in range(draw(st.integers(1, 12))):
+        label = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            label = SemanticLabel(label.scenario, label.action, label.entities,
+                                  label.unparseable)
+        records.append(Utterance(
+            id=f"u{i}{draw(_TRICKY)}", lang=draw(_TRICKY), split="train",
+            text=draw(_TRICKY), label=label,
+            speech_ref=draw(st.none() | _TRICKY)))
+    return Corpus(name="fuzz", lang="en", records=records)
+
+
+class TestSaveCorpus:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(corpora())
+    def test_bytes_match_per_record_dumps(self, tmp_path, corpus):
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        expected = "".join(json.dumps(u.to_dict(), ensure_ascii=False) + "\n"
+                           for u in corpus.records)
+        assert path.read_bytes() == expected.encode("utf-8")

@@ -450,6 +450,21 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
 
+    def test_ingest_logs_split_counts(self, tmp_path, capsys):
+        src = tmp_path / "slurp.jsonl"
+        src.write_text("".join(json.dumps({
+            "slurp_id": i, "sentence": f"wake me at seven am {i}", "scenario": "alarm",
+            "action": "set", "partition": split, "entities": [],
+            "recordings": [f"{i}-{r}.flac" for r in range(n)],
+        }) + "\n" for i, (split, n) in enumerate([("train", 2), ("train", 0), ("test", 3)])))
+        assert main(["--json", "ingest", "--in", str(src), "--profile", "slurp",
+                     "--out", str(tmp_path / "canon.jsonl")]) == 0
+        logged = json.loads(capsys.readouterr().out)
+        assert logged["records"] == 8
+        assert {k: logged[k] for k in logged if k.endswith(("_text", "_speech"))} == {
+            "train_text": 2, "train_speech": 2, "dev_text": 0, "dev_speech": 0,
+            "test_text": 1, "test_speech": 3}
+
     def test_grid_command_and_resume(self, syn_path, tmp_path, capsys):
         manifest_path = tmp_path / "m.json"
         manifest_path.write_text(json.dumps(manifest_to_dict(

@@ -4,18 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slumix import (
-    DEFAULT_TEMPLATE,
-    Entity,
-    LabelFormatError,
-    PromptError,
-    PromptTemplate,
-    SemanticLabel,
-    build_prompt,
-    parse_label,
-    serialize_label,
-)
-from slumix.labelcodec import SPEECH_PLACEHOLDER
+from slumix import Entity, LabelFormatError, SemanticLabel, parse_label, serialize_label
 
 
 class TestSerialize:
@@ -130,23 +119,3 @@ class TestProperties:
         parse_label(blob)
         parse_label(blob.decode("latin-1"))
 
-
-class TestPrompt:
-    def test_text_and_speech_share_instruction(self):
-        text_prompt = build_prompt(DEFAULT_TEMPLATE, "wake me at seven")
-        speech_prompt = build_prompt(DEFAULT_TEMPLATE, SPEECH_PLACEHOLDER)
-        assert text_prompt.replace("wake me at seven", "{}") == \
-            speech_prompt.replace(SPEECH_PLACEHOLDER, "{}")
-        assert "wake me at seven" in text_prompt
-        assert SPEECH_PLACEHOLDER in speech_prompt
-
-    def test_missing_placeholder_errors(self):
-        template = PromptTemplate(instruction="no slot here")
-        with pytest.raises(PromptError, match="placeholder"):
-            build_prompt(template, "payload")
-
-    def test_field_names_must_appear_exactly_once(self):
-        with pytest.raises(PromptError):
-            PromptTemplate(instruction="say the scenario twice: scenario {payload}")
-        with pytest.raises(PromptError):
-            PromptTemplate(instruction="{payload}", output_contract="no field names")

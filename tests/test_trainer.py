@@ -18,7 +18,6 @@ from slumix import (
     nested_permutation,
     published_recipe,
     plan_totals,
-    predict,
     simulate_speech,
     speech_items,
     text_items,
@@ -29,18 +28,24 @@ from slumix.grid import prediction_rows, predict_records
 from slumix.labelcodec import parse_label, serialize_label
 import slumix.trainer as trainer_module
 from slumix.trainer import (
+    FeatureStore,
     ModelState,
     hashed_features,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict_many,
     save_model,
-    tokenize,
 )
 from slumix.trainer_recipes import RECIPE_PROFILES
 
 SIM0 = SpeechSimConfig(substitution_rate=0.0, deletion_rate=0.0, seed=0)
+
+
+def predict(model, text, sim=None):
+    """The model's label for one input: a transcript, or speech simulated by
+    ``sim``."""
+    store = FeatureStore()
+    return store.predict(model, [store.row(text, sim)])[0]
 
 
 def plan_for(corpus, scheme, p, epochs=3, seed=1):
@@ -232,21 +237,21 @@ def model():
 
 class TestPredict:
     def test_learned_intents(self, model):
-        label = predict(model, tokenize("alarm utterance number 0 set please"))
+        label = predict(model, "alarm utterance number 0 set please")
         assert (label.scenario, label.action) == ("alarm", "set")
 
     def test_lexicon_hit(self, model):
-        label = predict(model, tokenize("alarm utterance number 3 set please"))
+        label = predict(model, "alarm utterance number 3 set please")
         assert ("idx", "number 3") in [(e.etype, e.filler) for e in label.entities]
 
     def test_empty_input_prior_class(self, model):
-        label = predict(model, [])
+        label = predict(model, "")
         assert (label.scenario, label.action) == model.prior_intent
         assert label.entities == ()
 
     def test_untrained_unparseable(self):
         from slumix.trainer import ModelState
-        assert predict(ModelState(), ["anything"]).unparseable
+        assert predict(ModelState(), "anything").unparseable
 
     def test_longest_match_wins(self):
         records = [
@@ -258,7 +263,7 @@ class TestPredict:
         corpus = make_corpus(records)
         model = train(plan_for(corpus, "text_only", 0.0), corpus,
                       desk_recipe(), SIM0)
-        label = predict(model, tokenize("drive me to new york"))
+        label = predict(model, "drive me to new york")
         spans = [(e.etype, e.filler) for e in label.entities]
         assert ("place", "new york") in spans
         assert ("city", "york") not in spans
@@ -274,7 +279,7 @@ class TestPredict:
                       desk_recipe(), SIM0)
         # counts accumulate per exposure: 3 epochs x gold occurrences
         assert model.filler_lexicon["alice"] == {"person": 6, "address": 3}
-        label = predict(model, ["alice"])
+        label = predict(model, "alice")
         assert label.entities[0].etype == "person"
 
     def test_ngram_features_include_bigrams(self):
@@ -283,7 +288,7 @@ class TestPredict:
 
 
 class TestPredictionRoundTrip:
-    # Grid cells score the labels predict_many returns; `slumix evaluate`
+    # Grid cells score the labels FeatureStore.predict returns; `slumix evaluate`
     # scores what parse_label reads back from preds.jsonl. The two agree only
     # if every predicted label survives serialization.
     @pytest.mark.parametrize("seed", [1, 2])
@@ -293,12 +298,14 @@ class TestPredictionRoundTrip:
         model = train(plan_for(corpus, scheme, 0.0 if scheme == "text_only" else 0.5,
                                epochs=2, seed=seed),
                       corpus, desk_recipe(), SpeechSimConfig(seed=seed))
-        token_seqs = [tokenize(u.text) for u in corpus.records]
-        for sim in (SpeechSimConfig(seed=seed),
-                    SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=seed)):
-            token_seqs += [simulate_speech(u.text, sim) for u in corpus.records]
-        preds = predict_many(model, token_seqs)
-        assert model.prior_intent in {p.intent for p, t in zip(preds, token_seqs) if not t}
+        store = FeatureStore()
+        rows = [store.row(u.text, sim) for sim in (
+            None, SpeechSimConfig(seed=seed),
+            SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=seed))
+            for u in corpus.records]
+        preds = store.predict(model, rows)
+        assert model.prior_intent in {p.intent for p, k in zip(preds, rows)
+                                      if not store.tokens[k]}
         assert [p for p in preds if parse_label(serialize_label(p)) != p] == []
 
     def test_untrained_model_written_as_empty(self):
@@ -318,8 +325,8 @@ class TestSerializationAndEstimator:
         save_model(model, path)
         loaded = load_model(path)
         assert model_to_dict(loaded) == model_to_dict(model)
-        tokens = tokenize("music utterance number 1 play please")
-        assert predict(loaded, tokens) == predict(model, tokens)
+        text = "music utterance number 1 play please"
+        assert predict(loaded, text) == predict(model, text)
 
     def test_foreign_feature_dim_rejected(self):
         corpus = speech_train_corpus(30)
@@ -395,7 +402,7 @@ class TestMonotoneDataBenefit:
             dev = filter_split(c, "dev")
             hits = 0
             for utt in dev.records:
-                pred = predict(model, simulate_speech(utt.text, sim))
+                pred = predict(model, utt.text, sim)
                 hits += int((pred.scenario, pred.action) == utt.label.intent)
             return hits / len(dev.records)
 

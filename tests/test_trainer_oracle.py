@@ -25,7 +25,7 @@ from slumix import (
     train,
 )
 from slumix.grid import make_plan_for_corpus, predict_records
-from slumix.trainer import FeatureStore, predict_many, simulate_speech, tokenize
+from slumix.trainer import FeatureStore
 
 SIM = SpeechSimConfig(substitution_rate=0.15, deletion_rate=0.10, seed=7)
 
@@ -216,9 +216,11 @@ def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
     records = synthetic.records
     shared = predict_records(model, records, oracle_transcripts, features=store)
     assert shared == predict_records(model, records, oracle_transcripts)
-    token_seqs = [simulate_speech(u.text, sim) if u.has_speech and not oracle_transcripts
-                  else tokenize(u.text) for u in records]
-    assert [r.pred for r in shared] == predict_many(model, token_seqs)
+    inputs = [(u.text, sim if u.has_speech and not oracle_transcripts else None)
+              for u in records]
+    alone = [FeatureStore() for _ in inputs]
+    assert [r.pred for r in shared] == \
+        [store.predict(model, [store.row(*key)])[0] for store, key in zip(alone, inputs)]
 
 
 def test_intent_seen_only_in_speech():
