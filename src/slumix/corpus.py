@@ -240,10 +240,17 @@ def _entities_from_annotation(annotated: str) -> tuple[Entity, ...]:
                  for m in _BRACKET_SLOT_RE.finditer(annotated))
 
 
-def _entities_from_list(raw, annotated: str) -> tuple[Entity, ...]:
+def _entity_objects(obj: dict, path, line) -> list[dict]:
+    entities = obj.get("entities", [])
+    if not isinstance(entities, list) or not all(isinstance(e, dict) for e in entities):
+        raise CorpusFormatError("field 'entities' is not a list of objects", path, line)
+    return entities
+
+
+def _entities_from_list(raw: list[dict], annotated: str) -> tuple[Entity, ...]:
     ents = []
     fallback = None
-    for item in raw or []:
+    for item in raw:
         etype = str(item.get("type", ""))
         filler = item.get("filler")
         if filler is not None:
@@ -310,9 +317,7 @@ def _label_key(obj: dict, path, line) -> tuple:
     records with equal keys get equal labels."""
     if obj.get("unparseable"):
         return (True,)
-    entities = obj.get("entities", [])
-    if not isinstance(entities, list) or not all(isinstance(e, dict) for e in entities):
-        raise CorpusFormatError("field 'entities' is not a list of objects", path, line)
+    entities = _entity_objects(obj, path, line)
     return (False, str(obj.get("scenario", "")), str(obj.get("action", "")),
             tuple((str(e["type"]), str(e["filler"])) for e in entities))
 
@@ -355,13 +360,15 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
             scenario, action = _split_intent(obj.get("intent", ""), scenario)
         label = SemanticLabel(
             scenario=scenario, action=str(action),
-            entities=_entities_from_list(obj.get("entities"), annotated))
+            entities=_entities_from_list(_entity_objects(obj, path, lineno), annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
         text_utt = Utterance(id=base_id, lang=lang, split=split, text=text, label=label)
         _validate_record(text_utt, label_fault(label), path, lineno)
+        recordings = obj.get("recordings", [])
+        if not isinstance(recordings, list):
+            raise CorpusFormatError("field 'recordings' is not a list", path, lineno)
         yield text_utt
-        recordings = obj.get("recordings") or []
         if pairing == "one":
             recordings = recordings[:1]
         for i, rec in enumerate(recordings):

@@ -223,7 +223,7 @@ def recipe_from_config(cfg: dict) -> TrainRecipe:
 
 
 # Part of every cell hash: bump it when a cell's outputs change for the same inputs.
-CELL_FORMAT = 2
+CELL_FORMAT = 3
 
 
 def _fmt_level(level: float) -> str:

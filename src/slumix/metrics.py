@@ -7,12 +7,14 @@ parsed, compare as they are.
 
 SLU-F1 jointly scores intent and entities: each utterance contributes its
 entity spans plus two pseudo-spans carrying the scenario and action values.
-Same-type gold/predicted spans are matched by one optimal assignment
-(``scipy.optimize.linear_sum_assignment``) per span type, with fractional
-credit per matched pair given by multiset-overlap F1 of the filler strings,
-computed once over word tokens and once over characters. The final score is
-the arithmetic mean of the micro word-level F1 and the micro character-level
-F1 (the SLURP-toolkit convention).
+Same-type gold/predicted spans are matched by one optimal assignment per span
+type, with fractional credit per matched pair given by multiset-overlap F1 of
+the filler strings, computed once over word tokens and once over characters.
+The final score is the arithmetic mean of the micro word-level F1 and the
+micro character-level F1 (the SLURP-toolkit convention). The assignment is
+solved here, exactly, by the Hungarian method (``_max_credit``), so scoring
+needs no SciPy; the package loads SciPy only in ``stats.t_crit_95``, for t
+critical values above df = 200.
 
 ``evaluate`` computes every metric in one pass over the records;
 ``intent_accuracy``, ``entity_prf`` and ``slu_f1`` are views of its report.
@@ -20,6 +22,7 @@ F1 (the SLURP-toolkit convention).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -100,12 +103,46 @@ def _spans(label: SemanticLabel) -> list[tuple[str, str]]:
 
 
 def _max_credit(matrix: list[list[float]]) -> float:
-    """Maximum total credit of an injective partial matching. Credits are
-    non-negative, so a maximum-weight assignment of the smaller side attains it."""
-    from scipy.optimize import linear_sum_assignment  # imported on first use: slow to load
+    """Maximum total credit of an injective partial matching, summed in row order.
 
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    return float(sum(matrix[r][c] for r, c in zip(rows, cols)))
+    Credits are non-negative, so a maximum-weight assignment of the smaller
+    side attains it. The Hungarian method finds one: each row of the smaller
+    side joins the matching along a shortest augmenting path of reduced costs,
+    O(n^2 m) for n <= m.
+    """
+    flip = len(matrix) > len(matrix[0])
+    # cost[i][j], 1-based: column 0 is the root of each path search, row 0 unused.
+    cost = [None] + [[0.0] + [-c for c in row] for row in (zip(*matrix) if flip else matrix)]
+    n, m = len(cost) - 1, len(cost[1]) - 1
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    owner, way = [0] * (m + 1), [0] * (m + 1)  # owner[j]: row matched to column j, 0 if none
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        minv, used = [math.inf] * (m + 1), [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            row, ui = cost[i0], u[i0]
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j] - ui - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:  # flip the path's edges: each column takes its predecessor's row
+            j1 = way[j0]
+            owner[j0], j0 = owner[j1], j1
+    pairs = sorted((j - 1, owner[j] - 1) if flip else (owner[j] - 1, j - 1)
+                   for j in range(1, m + 1) if owner[j])
+    return float(sum(matrix[r][c] for r, c in pairs))
 
 
 def _group_credit(golds: list[str], preds: list[str]) -> tuple[float, float]:

@@ -266,6 +266,19 @@ class TestSlurpProfile:
         text_utts = {r.id: r for r in records if not r.has_speech}
         assert all(r.label is text_utts[r.id.split("#")[0]].label for r in records)
 
+    @pytest.mark.parametrize("field,value", [
+        ("entities", "x"), ("entities", 7), ("entities", [5]), ("entities", ["time"]),
+        ("entities", None), ("entities", {"type": "time", "span": [3, 4]}),
+        ("recordings", "a.flac"), ("recordings", None), ("recordings", {"file": "a.flac"}),
+    ], ids=["entities_string", "entities_number", "entities_list_of_numbers",
+            "entities_list_of_strings", "entities_null", "entities_object",
+            "recordings_string", "recordings_null", "recordings_object"])
+    def test_malformed_row_rejected(self, tmp_path, field, value):
+        path = tmp_path / "slurp.jsonl"
+        write_jsonl(path, [self.slurp_row(1, 2), {**self.slurp_row(2, 2), field: value}])
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: field '{field}'"):
+            load_corpus(path, "slurp")
+
     def test_realistic_slurp_train_counts(self, tmp_path):
         # 11,514 sentences carrying 50,628 recordings in total.
         n_sent, n_rec = 11514, 50628

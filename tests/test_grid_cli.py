@@ -11,7 +11,15 @@ import pytest
 import slumix
 import slumix.grid
 import slumix.trainer
-from slumix import make_synthetic_corpus, save_corpus
+from slumix import (
+    Corpus,
+    Entity,
+    SemanticLabel,
+    Utterance,
+    make_synthetic_corpus,
+    save_corpus,
+    serialize_label,
+)
 from slumix.cli import main
 from slumix.grid import (
     CSV_COLUMNS,
@@ -399,16 +407,37 @@ def test_crosslingual_added_seed_runs_only_its_cells(xl_setup, tmp_path):
 
 
 class TestCli:
-    def test_import_loads_no_scipy(self):
-        # scipy is imported on first use, by scoring and by large-df aggregation.
+    @staticmethod
+    def _run_python(code):
         src = str(Path(slumix.__file__).resolve().parent.parent)
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported on first use, by large-df aggregation only.
         code = ("import sys, slumix.cli; "
                 "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, check=True)
-        assert result.stdout == "[]\n"
+        assert self._run_python(code) == "[]\n"
+
+    def test_evaluate_loads_no_scipy(self, tmp_path):
+        # Three gold and three predicted date spans: one 3x3 group to match.
+        dates = [("date", "monday"), ("date", "next week"), ("date", "the fifth")]
+        gold = tmp_path / "gold.jsonl"
+        save_corpus(Corpus(name="gold", lang="en", records=[Utterance(
+            id="u1", lang="en", split="test", text="monday next week the fifth",
+            label=SemanticLabel("calendar", "query", tuple(Entity(*d) for d in dates)))]), gold)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"utt_id": "u1", "pred_raw": serialize_label(SemanticLabel(
+            "calendar", "query", (Entity("date", "the week"), Entity("date", "monday fifth"),
+                                  Entity("date", "next"))))}) + "\n")
+        code = ("import sys; from slumix.cli import main; "
+                f"code = main(['evaluate', '--gold', {str(gold)!r}, '--pred', {str(preds)!r}, "
+                f"'--out', {str(tmp_path / 'report.json')!r}]); "
+                "print(code, 'scipy.optimize' in sys.modules)")
+        assert self._run_python(code).splitlines()[-1] == "0 False"
+        assert 0.0 < json.loads((tmp_path / "report.json").read_text())["slu_f1"] < 1.0
 
     def test_full_pipeline(self, tmp_path, capsys):
         d = tmp_path
@@ -449,6 +478,22 @@ class TestCli:
         assert main(["ingest", "--in", str(src), "--profile", "slurp",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("recordings", "a.flac"), ("entities", ["time"]), ("entities", "time"),
+    ], ids=["recordings_string", "entities_list_of_strings", "entities_string"])
+    def test_malformed_slurp_row_exit_1(self, tmp_path, capsys, field, value):
+        src = tmp_path / "slurp.jsonl"
+        src.write_text(json.dumps({
+            "slurp_id": 1, "sentence": "wake me at seven am", "scenario": "alarm",
+            "action": "set", "partition": "train", "entities": [], "recordings": [],
+            field: value}) + "\n")
+        out = tmp_path / "canon.jsonl"
+        assert main(["ingest", "--in", str(src), "--profile", "slurp", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:1: field '{field}'")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_ingest_logs_split_counts(self, tmp_path, capsys):
         src = tmp_path / "slurp.jsonl"
