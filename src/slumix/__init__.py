@@ -35,10 +35,7 @@ from .labelcodec import parse_label, serialize_label
 from .metrics import (
     MetricReport,
     PredictionRecord,
-    entity_prf,
     evaluate,
-    intent_accuracy,
-    slu_f1,
 )
 from .report import render_report
 from .scheduler import (
@@ -80,12 +77,12 @@ __all__ = [
     "SchedulerConfig",
     "SeedRun", "SemanticLabel", "SlumixError", "SpeechSimConfig", "StatsError",
     "TrainError", "TrainRecipe", "Utterance", "aggregate", "build_plan",
-    "corpus_stats", "desk_recipe", "entity_prf", "epoch_batches",
-    "evaluate", "export_manifest", "filter_split", "intent_accuracy",
+    "corpus_stats", "desk_recipe", "epoch_batches",
+    "evaluate", "export_manifest", "filter_split",
     "load_corpus", "load_manifest", "lr_at", "make_crosslingual_corpus",
     "make_synthetic_corpus", "nested_permutation", "published_recipe", "parse_label",
     "plan_totals", "relative_improvement", "render_report",
     "run_grid", "save_corpus", "serialize_label", "significant", "simulate_speech",
-    "slu_f1", "speech_budget", "speech_items", "t_crit_95", "text_items", "train",
+    "speech_budget", "speech_items", "t_crit_95", "text_items", "train",
     "validate_corpus",
 ]

@@ -27,8 +27,8 @@ from .grid import (
     read_rows_csv,
     run_grid,
     score_prediction_rows,
-    write_json,
     write_predictions,
+    write_report,
     write_rows_csv,
 )
 from .metrics import report_to_dict
@@ -112,7 +112,7 @@ def _cmd_evaluate(args, log: _Log) -> int:
                                     args.pred, lineno)
         rows.append(row)
     report = score_prediction_rows(rows, gold_by_id)
-    write_json(args.out, report_to_dict(report))
+    write_report(args.out, report_to_dict(report))
     log.emit("evaluated", n=report.counts["n_utts"],
              intent_accuracy=round(report.intent_accuracy, 6),
              entity_f1=round(report.entity_f1, 6),

@@ -368,16 +368,16 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
         recordings = obj.get("recordings", [])
         if not isinstance(recordings, list):
             raise CorpusFormatError("field 'recordings' is not a list", path, lineno)
-        yield text_utt
-        if pairing == "one":
-            recordings = recordings[:1]
-        for i, rec in enumerate(recordings):
-            ref = rec.get("file") if isinstance(rec, dict) else rec
-            if not ref:
+        refs = [rec.get("file") if isinstance(rec, dict) else rec for rec in recordings]
+        for i, ref in enumerate(refs):
+            if not isinstance(ref, str) or not ref:
                 raise CorpusFormatError(
-                    f"record {base_id!r}: recording #{i} has no file", path, lineno)
+                    f"field 'recordings': entry #{i} is not a file name (a non-empty "
+                    f"string, or an object whose 'file' is one)", path, lineno)
+        yield text_utt
+        for i, ref in enumerate(refs[:1] if pairing == "one" else refs):
             yield Utterance(id=f"{base_id}#r{i}", lang=lang, split=split, text=text,
-                            label=label, speech_ref=str(ref))
+                            label=label, speech_ref=ref)
 
 
 def _massive_records(path, default_lang: str) -> Iterable[Utterance]:

@@ -36,7 +36,8 @@ from .corpus import (
     text_items,
 )
 from .crosslingual import CROSSLINGUAL_MODES, DEFAULT_FEWSHOT_PAIRS, make_crosslingual_corpus
-from .errors import ConfigError, MetricsError, TrainError
+from .errors import ConfigError, MetricsError, StatsError, TrainError
+from .jsonio import read_json, write_json
 from .labelcodec import parse_label, serialize_label
 from .metrics import (
     MetricReport,
@@ -93,8 +94,8 @@ class ExperimentManifest:
     speech_levels: tuple[float, ...]
     seeds: tuple[int, ...]
     epochs: int = 3
-    recipe: dict = field(default_factory=dict)
-    sim: dict = field(default_factory=dict)
+    recipe: TrainRecipe = RECIPE_PROFILES["desk"]
+    sim: SpeechSimConfig = SpeechSimConfig()
     crosslingual: Optional[CrossLingualSpec] = None
 
     def __post_init__(self):
@@ -133,17 +134,16 @@ class ExperimentManifest:
                 differ = [f"{k} {a[k]!r} and {b[k]!r}" for k in a if a[k] != b[k]]
                 raise ConfigError(f"{', '.join(differ) or 'two cells'} share the cell id "
                                   f"{cell.cell_id!r}")
-        self.run_settings()
-
-    def run_settings(self) -> tuple[TrainRecipe, SpeechSimConfig]:
-        """The recipe every cell trains under, and the speech simulation of the
-        ``sim`` section (seed 0: each cell derives its own seed)."""
-        recipe = recipe_from_config(self.recipe)
-        try:
-            sim = sim_from_dict(self.sim, "manifest section 'sim'", seeded=False)
-        except TrainError as exc:
-            raise ConfigError(str(exc)) from exc
-        return recipe, sim
+        # A recipe or sim given as its manifest section (a dict) is built once,
+        # the sim at seed 0: each cell derives its own.
+        if not isinstance(self.recipe, TrainRecipe):
+            object.__setattr__(self, "recipe", recipe_from_config(self.recipe))
+        if not isinstance(self.sim, SpeechSimConfig):
+            try:
+                sim = sim_from_dict(self.sim, "manifest section 'sim'", seeded=False)
+            except TrainError as exc:
+                raise ConfigError(str(exc)) from exc
+            object.__setattr__(self, "sim", sim)
 
 
 def manifest_to_dict(manifest: ExperimentManifest) -> dict:
@@ -155,8 +155,8 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
         "speech_levels": list(manifest.speech_levels),
         "seeds": list(manifest.seeds),
         "epochs": manifest.epochs,
-        "recipe": dict(manifest.recipe),
-        "sim": dict(manifest.sim),
+        "recipe": dataclasses.asdict(manifest.recipe),
+        "sim": {k: v for k, v in dataclasses.asdict(manifest.sim).items() if k != "seed"},
     }
     if manifest.crosslingual is not None:
         obj["crosslingual"] = dataclasses.asdict(manifest.crosslingual)
@@ -164,46 +164,34 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
 
 
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
-    if not isinstance(obj, dict):
-        raise ConfigError("manifest is not a JSON object")
     if obj.get("kind", "experiment_manifest") != "experiment_manifest":
         raise ConfigError(f"not an experiment manifest: kind={obj.get('kind')!r}")
     if obj.get("manifest_version", 1) != 1:
         raise ConfigError(f"unsupported manifest version {obj.get('manifest_version')!r}")
-    try:
-        xl = None
-        if obj.get("crosslingual"):
-            raw = obj["crosslingual"]
-            xl = CrossLingualSpec(
-                source=raw["source"],
-                targets=tuple(raw["targets"]),
-                modes=tuple(raw["modes"]),
-                massive=tuple(raw.get("massive", ())),
-                fewshot_pairs=raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS),
-            )
-        return ExperimentManifest(
-            corpora=dict(obj["corpora"]),
-            schemes=tuple(obj.get("schemes", ("text_only", "direct", "curriculum"))),
-            speech_levels=tuple(obj.get("speech_levels", DEFAULT_SPEECH_LEVELS)),
-            seeds=tuple(obj["seeds"]),
-            epochs=obj.get("epochs", 3),
-            recipe=dict(obj.get("recipe", {})),
-            sim=dict(obj.get("sim", {})),
-            crosslingual=xl,
+    xl = None
+    if obj.get("crosslingual"):
+        raw = obj["crosslingual"]
+        xl = CrossLingualSpec(
+            source=raw["source"],
+            targets=tuple(raw["targets"]),
+            modes=tuple(raw["modes"]),
+            massive=tuple(raw.get("massive", ())),
+            fewshot_pairs=raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS),
         )
-    except KeyError as exc:
-        raise ConfigError(f"manifest missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"manifest has a malformed field ({exc})") from exc
+    return ExperimentManifest(
+        corpora=dict(obj["corpora"]),
+        schemes=tuple(obj.get("schemes", ("text_only", "direct", "curriculum"))),
+        speech_levels=tuple(obj.get("speech_levels", DEFAULT_SPEECH_LEVELS)),
+        seeds=tuple(obj["seeds"]),
+        epochs=obj.get("epochs", 3),
+        recipe=obj.get("recipe", {}),
+        sim=obj.get("sim", {}),
+        crosslingual=xl,
+    )
 
 
 def load_manifest(path) -> ExperimentManifest:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"{path}: manifest is not valid JSON ({exc})") from exc
-    return manifest_from_dict(obj)
+    return read_json(path, ConfigError, "manifest", manifest_from_dict)
 
 
 def recipe_from_config(cfg: dict) -> TrainRecipe:
@@ -285,10 +273,9 @@ def make_plan_for_corpus(corpus: Corpus, scheme: str, level: float, seed: int,
     return build_plan(config, text_ids, ordering)
 
 
-def write_json(path, obj) -> None:
+def write_report(path, obj) -> None:
     """The bytes of ``report.json`` and ``meta.json``."""
-    Path(path).write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2),
-                          encoding="utf-8")
+    write_json(path, obj, indent=2, sort_keys=True)
 
 
 def write_predictions(path, rows) -> None:
@@ -306,20 +293,40 @@ def _write_cell(cell_dir: Path, plan, model, pred_rows, report, meta) -> None:
     for name, write in (("plan.json", lambda path: save_plan(plan, path)),
                         ("model.json", lambda path: save_model(model, path)),
                         ("preds.jsonl", lambda path: write_predictions(path, pred_rows)),
-                        ("report.json", lambda path: write_json(path, report)),
-                        ("meta.json", lambda path: write_json(path, meta))):
+                        ("report.json", lambda path: write_report(path, report)),
+                        ("meta.json", lambda path: write_report(path, meta))):
         write(cell_dir / f"{name}.tmp")
         os.replace(cell_dir / f"{name}.tmp", cell_dir / name)
 
 
-def _read_cell(cell_dir: Path, cell_hash: str) -> Optional[tuple[dict, dict]]:
-    """(meta, report) if both parse and the meta's hash is ``cell_hash``, else None."""
+def _read_cell(cell_dir: Path, cell_hash: str, xl: Optional[CrossLingualSpec]
+               ) -> Optional[tuple[str, dict[str, MetricReport]]]:
+    """The scheme and the report of each eval target language ("" on a
+    monolingual grid) of a cell finished under ``cell_hash``. None if
+    ``meta.json`` or ``report.json`` is missing, is not JSON or lacks a field
+    that aggregation reads (a target's report included), or if the meta
+    carries another hash."""
+    def meta_fields(meta):
+        if meta["scheme"] not in SCHEMES:
+            raise ValueError(f"unknown scheme {meta['scheme']!r}")
+        return meta["cell_hash"], meta["scheme"]
+
+    def reports(report):
+        per_target = {"": report} if xl is None else report["per_target"]
+        by_lang = {lang: report_from_dict(rep) for lang, rep in per_target.items()}
+        if xl is not None and len(by_lang) != len(xl.targets):
+            raise ValueError(f"{len(by_lang)} target reports, not {len(xl.targets)}")
+        if not all(is_number(r.value(m)) for r in by_lang.values() for m in REPORTED_METRICS):
+            raise ValueError("a metric is not a number")
+        return by_lang
+
     try:
-        meta = json.loads((cell_dir / "meta.json").read_text(encoding="utf-8"))
-        if not isinstance(meta, dict) or meta.get("cell_hash") != cell_hash:
+        meta_hash, scheme = read_json(cell_dir / "meta.json", ConfigError, "cell meta",
+                                      meta_fields)
+        if meta_hash != cell_hash:
             return None
-        return meta, json.loads((cell_dir / "report.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        return scheme, read_json(cell_dir / "report.json", ConfigError, "cell report", reports)
+    except (ConfigError, OSError):
         return None
 
 
@@ -351,13 +358,19 @@ def _grid_cells(manifest: ExperimentManifest) -> list[_Cell]:
 
 class _GridInputs:
     """One run's inputs: each corpus file's bytes, read once, with their digest
-    and the corpus parsed from them, each on first use; the recipe and speech
-    simulation of the manifest; and one feature store that every cell of the
-    run trains and predicts from."""
+    and the corpus parsed from them, each on first use; the settings every
+    cell hash covers; and one feature store that every cell of the run trains
+    and predicts from."""
 
     def __init__(self, manifest: ExperimentManifest):
         self.manifest = manifest
-        self.recipe, self.sim = manifest.run_settings()
+        xl = manifest.crosslingual
+        self.settings = {"format": CELL_FORMAT, "epochs": manifest.epochs,
+                         "recipe": dataclasses.asdict(manifest.recipe),
+                         "sim": dataclasses.asdict(manifest.sim)}
+        if xl is not None:
+            self.settings.update(source=xl.source, targets=xl.targets, massive=xl.massive,
+                                 fewshot_pairs=xl.fewshot_pairs)
         contents = functools.cache(
             lambda name: FileBytes(manifest.corpora[name],
                                    Path(manifest.corpora[name]).read_bytes()))
@@ -369,16 +382,10 @@ class _GridInputs:
 
     def cell_hash(self, cell: _Cell) -> str:
         """SHA-256 of exactly the inputs the cell's outputs depend on."""
-        m, xl = self.manifest, self.manifest.crosslingual
-        payload = {"format": CELL_FORMAT, **cell.key, "level": _fmt_level(cell.level),
-                   "seed": cell.seed, "epochs": m.epochs, "recipe": m.recipe, "sim": m.sim}
-        if xl is None:
-            reads = (cell.key["corpus"],)
-        else:
-            reads = (xl.source, *xl.targets, *xl.massive)
-            payload.update(source=xl.source, targets=xl.targets, massive=xl.massive,
-                           fewshot_pairs=xl.fewshot_pairs)
-        payload["corpora"] = {name: self.digest(name) for name in reads}
+        xl = self.manifest.crosslingual
+        reads = (cell.key["corpus"],) if xl is None else (xl.source, *xl.targets, *xl.massive)
+        payload = {**self.settings, **cell.key, "level": _fmt_level(cell.level),
+                   "seed": cell.seed, "corpora": {name: self.digest(name) for name in reads}}
         blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -390,12 +397,12 @@ def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
     its scheme, the speech level to plan at and the eval target corpora."""
     cell_hash = inputs.cell_hash(cell)
     cell_dir = out_dir / cell.cell_id
-    if _read_cell(cell_dir, cell_hash) is not None:
+    if _read_cell(cell_dir, cell_hash, manifest.crosslingual) is not None:
         return cell.cell_id, False
     corpus, scheme, plan_level, targets = build()
     plan = make_plan_for_corpus(corpus, scheme, plan_level, cell.seed, manifest.epochs)
-    sim = replace(inputs.sim, seed=derive_seed(cell.seed, "speech-sim"))
-    model = train(plan, corpus, inputs.recipe, sim, inputs.features)
+    sim = replace(manifest.sim, seed=derive_seed(cell.seed, "speech-sim"))
+    model = train(plan, corpus, manifest.recipe, sim, inputs.features)
     xl = manifest.crosslingual is not None
     reports, pred_rows = {}, []
     for target in targets:
@@ -501,19 +508,19 @@ def aggregate_results(manifest: ExperimentManifest, out_dir) -> tuple[list[dict]
     missing = []
     for cell in _grid_cells(manifest):
         try:
-            done = _read_cell(out_dir / cell.cell_id, inputs.cell_hash(cell))
+            done = _read_cell(out_dir / cell.cell_id, inputs.cell_hash(cell),
+                              manifest.crosslingual)
         except OSError:
             done = None
         if done is None:
             missing.append(cell.cell_id)
             continue
-        meta, report = done
-        per_target = report["per_target"] if manifest.crosslingual is not None else {"": report}
-        for lang, rep in per_target.items():
+        scheme, reports = done
+        for lang, report in reports.items():
             key = {"corpus": "", "mode": "", "target_lang": lang, **cell.key,
-                   "scheme": meta["scheme"], "speech_level": cell.level}
+                   "scheme": scheme, "speech_level": cell.level}
             groups.setdefault(tuple(key.values()), (key, []))[1].append(
-                SeedRun(seed=cell.seed, report=report_from_dict(rep)))
+                SeedRun(seed=cell.seed, report=report))
     rows = []
     for gkey in sorted(groups, key=repr):
         key, runs = groups[gkey]
@@ -549,10 +556,12 @@ def write_rows_csv(rows, path) -> None:
 
 
 def read_rows_csv(path) -> list[dict]:
-    rows = []
+    """The rows ``write_rows_csv`` wrote; a missing column or a malformed
+    number is a ``StatsError`` naming the file and line."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        for raw in csv.DictReader(f):
-            rows.append({
+        reader = csv.DictReader(f)
+        try:
+            return [{
                 "corpus": raw["corpus"],
                 "mode": raw["mode"],
                 "target_lang": raw["target_lang"],
@@ -565,5 +574,9 @@ def read_rows_csv(path) -> list[dict]:
                     half_width=None if raw["half_width"] == "" else float(raw["half_width"]),
                     n=int(raw["n"]),
                 ),
-            })
-    return rows
+            } for raw in reader]
+        except KeyError as exc:
+            raise StatsError(f"{path}:{reader.line_num}: missing column "
+                             f"{exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise StatsError(f"{path}:{reader.line_num}: malformed row ({exc})") from exc

@@ -16,8 +16,7 @@ solved here, exactly, by the Hungarian method (``_max_credit``), so scoring
 needs no SciPy; the package loads SciPy only in ``stats.t_crit_95``, for t
 critical values above df = 200.
 
-``evaluate`` computes every metric in one pass over the records;
-``intent_accuracy``, ``entity_prf`` and ``slu_f1`` are views of its report.
+``evaluate`` computes every metric in one pass over the records.
 """
 
 from __future__ import annotations
@@ -222,22 +221,6 @@ def evaluate(records) -> MetricReport:
             "char_tp_frac": char_tp,
         },
     )
-
-
-def intent_accuracy(records) -> float:
-    """Fraction of utterances whose (scenario, action) pair is exactly right."""
-    return evaluate(records).intent_accuracy
-
-
-def entity_prf(records) -> tuple[float, float, float]:
-    """Micro precision/recall/F1 over exact (type, filler) entity matches."""
-    report = evaluate(records)
-    return report.entity_precision, report.entity_recall, report.entity_f1
-
-
-def slu_f1(records) -> float:
-    """Mean of micro word-overlap F1 and micro char-overlap F1 over spans."""
-    return evaluate(records).slu_f1
 
 
 def report_to_dict(report: MetricReport) -> dict:

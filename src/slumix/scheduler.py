@@ -22,13 +22,13 @@ epoch), so plans are bit-identical across runs and platforms.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PlanError
+from .jsonio import read_json, write_json
 
 SCHEMES = ("text_only", "direct", "curriculum")
 
@@ -202,34 +202,20 @@ def plan_to_dict(plan: MixPlan) -> dict:
 
 
 def plan_from_dict(obj: dict) -> MixPlan:
-    if not isinstance(obj, dict):
-        raise PlanError("plan is not a JSON object")
-    try:
-        cfg = obj["config"]
-        config = SchedulerConfig(scheme=cfg["scheme"], p=cfg["p"], epochs=cfg["epochs"],
-                                 seed=cfg["seed"], n_speech=cfg["n_speech"])
-        epochs = tuple(
-            EpochPlan(epoch=ep["epoch"], text_item_ids=tuple(ep["text_item_ids"]),
-                      speech_item_ids=tuple(ep["speech_item_ids"]))
-            for ep in obj["epochs"]
-        )
-        return MixPlan(config=config, epochs=epochs, permutation=tuple(obj["permutation"]))
-    except KeyError as exc:
-        raise PlanError(f"plan missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise PlanError(f"plan has a malformed field ({exc})") from exc
+    cfg = obj["config"]
+    config = SchedulerConfig(scheme=cfg["scheme"], p=cfg["p"], epochs=cfg["epochs"],
+                             seed=cfg["seed"], n_speech=cfg["n_speech"])
+    epochs = tuple(
+        EpochPlan(epoch=ep["epoch"], text_item_ids=tuple(ep["text_item_ids"]),
+                  speech_item_ids=tuple(ep["speech_item_ids"]))
+        for ep in obj["epochs"]
+    )
+    return MixPlan(config=config, epochs=epochs, permutation=tuple(obj["permutation"]))
 
 
 def save_plan(plan: MixPlan, path) -> None:
-    text = json.dumps(plan_to_dict(plan), ensure_ascii=False, indent=2)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    write_json(path, plan_to_dict(plan), indent=2)
 
 
 def load_plan(path) -> MixPlan:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise PlanError(f"{path}: plan is not valid JSON ({exc})") from exc
-    return plan_from_dict(obj)
+    return read_json(path, PlanError, "plan", plan_from_dict)

@@ -16,7 +16,6 @@ noisier features than their text counterparts.
 from __future__ import annotations
 
 import base64
-import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -26,6 +25,7 @@ import numpy as np
 
 from .corpus import UNPARSEABLE, Corpus, Entity, SemanticLabel
 from .errors import TrainError
+from .jsonio import read_json, write_json
 from .scheduler import MixPlan, derive_rng, epoch_batches, plan_to_dict, plan_totals
 from .trainer_recipes import TrainRecipe, epoch_phases, is_number, lr_at
 
@@ -439,48 +439,32 @@ def sim_from_dict(obj, where: str, seeded: bool = True) -> SpeechSimConfig:
         raise TrainError(f"{where}: {exc}") from exc
 
 
-def model_from_dict(obj: dict) -> ModelState:
-    if not isinstance(obj, dict):
-        raise TrainError("model is not a JSON object")
-    try:
-        if obj["feature_dim"] != FEATURE_DIM:
-            raise TrainError(f"model was trained on {obj['feature_dim']} hashed features, "
-                             f"not {FEATURE_DIM}")
-        classes = tuple(tuple(c) for c in obj["classes"])
-        features = obj["features"]
-        stacked = _unb64(obj["weights"], (len(features), len(classes)))
-        return ModelState(
-            classes=classes,
-            bias=None if obj["bias"] is None else _unb64(obj["bias"], (len(classes),)),
-            weights={f: stacked[i] for i, f in enumerate(features)},
-            filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
-            prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
-            train_log=list(obj["train_log"]),
-            sim=sim_from_dict(obj["sim"], "model field 'sim'"),
-        )
-    except KeyError as exc:
-        raise TrainError(f"model missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise TrainError(f"model has a malformed field ({exc})") from exc
+def model_from_dict(obj: dict, where: str = "model") -> ModelState:
+    """The model an object holds; errors name ``where``, the model's place."""
+    if obj["feature_dim"] != FEATURE_DIM:
+        raise TrainError(f"{where} was trained on {obj['feature_dim']} hashed features, "
+                         f"not {FEATURE_DIM}")
+    classes = tuple(tuple(c) for c in obj["classes"])
+    features = obj["features"]
+    stacked = _unb64(obj["weights"], (len(features), len(classes)))
+    return ModelState(
+        classes=classes,
+        bias=None if obj["bias"] is None else _unb64(obj["bias"], (len(classes),)),
+        weights={f: stacked[i] for i, f in enumerate(features)},
+        filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
+        prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
+        train_log=list(obj["train_log"]),
+        sim=sim_from_dict(obj["sim"], f"{where} field 'sim'"),
+    )
 
 
 def save_model(model: ModelState, path) -> None:
-    # One string, one write: json.dump streams through the pure-Python encoder.
-    text = json.dumps(model_to_dict(model), ensure_ascii=False)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> ModelState:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise TrainError(f"{path}: model is not valid JSON ({exc})") from exc
-    try:
-        return model_from_dict(obj)
-    except TrainError as exc:
-        raise TrainError(f"{path}: {exc}") from exc
+    return read_json(path, TrainError, "model",
+                     lambda obj: model_from_dict(obj, f"{path}: model"))
 
 
 FREEZE_HINT_TEXT_ONLY = ("audio_encoder", "adapter")
@@ -515,7 +499,5 @@ def export_manifest(plan: MixPlan, recipe: TrainRecipe, corpus_ref: str,
         "totals": plan_totals(plan),
     }
     if path is not None:
-        text = json.dumps(manifest, ensure_ascii=False, indent=2)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        write_json(path, manifest, indent=2)
     return manifest

@@ -20,7 +20,7 @@ from slumix import (
     PredictionRecord,
     SeedRun,
     aggregate,
-    entity_prf,
+    evaluate,
     make_synthetic_corpus,
     nested_permutation,
     parse_label,
@@ -28,7 +28,6 @@ from slumix import (
     save_corpus,
     serialize_label,
     significant,
-    slu_f1,
     speech_budget,
 )
 from slumix.grid import ExperimentManifest, run_grid
@@ -118,11 +117,11 @@ def test_criterion_5_metric_oracle_equivalence():
                                     pred=to_label(p))
                    for i, (g, p) in enumerate(triples)]
         _, ref_p, ref_r, ref_f1, ref_slu = ref_evaluate(triples)
-        p, r, f1 = entity_prf(records)
-        assert abs(p - ref_p) <= 1e-12
-        assert abs(r - ref_r) <= 1e-12
-        assert abs(f1 - ref_f1) <= 1e-12
-        assert abs(slu_f1(records) - ref_slu) <= 1e-12
+        report = evaluate(records)
+        assert abs(report.entity_precision - ref_p) <= 1e-12
+        assert abs(report.entity_recall - ref_r) <= 1e-12
+        assert abs(report.entity_f1 - ref_f1) <= 1e-12
+        assert abs(report.slu_f1 - ref_slu) <= 1e-12
         assert time.monotonic() - c.t0 < 30.0
 
 

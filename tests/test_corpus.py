@@ -270,9 +270,11 @@ class TestSlurpProfile:
         ("entities", "x"), ("entities", 7), ("entities", [5]), ("entities", ["time"]),
         ("entities", None), ("entities", {"type": "time", "span": [3, 4]}),
         ("recordings", "a.flac"), ("recordings", None), ("recordings", {"file": "a.flac"}),
+        ("recordings", [5]), ("recordings", [["a.flac"]]), ("recordings", [{"file": 7}]),
     ], ids=["entities_string", "entities_number", "entities_list_of_numbers",
             "entities_list_of_strings", "entities_null", "entities_object",
-            "recordings_string", "recordings_null", "recordings_object"])
+            "recordings_string", "recordings_null", "recordings_object",
+            "recordings_entry_number", "recordings_entry_list", "recordings_entry_file_number"])
     def test_malformed_row_rejected(self, tmp_path, field, value):
         path = tmp_path / "slurp.jsonl"
         write_jsonl(path, [self.slurp_row(1, 2), {**self.slurp_row(2, 2), field: value}])

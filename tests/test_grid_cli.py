@@ -25,6 +25,7 @@ from slumix.grid import (
     CSV_COLUMNS,
     CrossLingualSpec,
     ExperimentManifest,
+    aggregate_results,
     load_manifest,
     manifest_from_dict,
     manifest_to_dict,
@@ -67,6 +68,28 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest_to_dict(manifest)))
         assert load_manifest(path) == manifest
+
+    @pytest.mark.parametrize("section,spellings", [
+        ("recipe", ({}, {"profile": "desk"}, {"peak_lr": 0.5})),
+        ("sim", ({}, {"substitution_rate": 0.15})),
+    ])
+    def test_spellings_of_one_setting_are_one_manifest(self, syn_path, tmp_path, section,
+                                                       spellings):
+        manifests = [mini_manifest(syn_path, **{section: value}) for value in spellings]
+        assert all(m == manifests[0] for m in manifests)
+        cell = slumix.grid._grid_cells(manifests[0])[0]
+        assert len({slumix.grid._GridInputs(m).cell_hash(cell) for m in manifests}) == 1
+        path = tmp_path / "m.json"
+        for value in spellings:
+            path.write_text(json.dumps({**manifest_to_dict(manifests[0]), section: value}))
+            assert load_manifest(path) == manifests[0]
+
+    def test_written_sections_are_the_built_settings(self, syn_path):
+        obj = manifest_to_dict(mini_manifest(syn_path, recipe={"peak_lr": 0.7}))
+        assert obj["recipe"] == {"peak_lr": 0.7, "warmup_ratio": 0.04, "batch_size": 16,
+                                 "grad_accum": 1, "beams": 1, "phase2_peak_lr": 0.3,
+                                 "phase2_warmup_ratio": 0.02}
+        assert obj["sim"] == {"substitution_rate": 0.15, "deletion_rate": 0.1}
 
     def test_validation(self, syn_path):
         with pytest.raises(ConfigError, match="scheme"):
@@ -238,6 +261,36 @@ class TestCellIdentity:
         assert (tmp_path / "runs" / "aggregate.csv").read_bytes() == \
             (tmp_path / "fresh" / "aggregate.csv").read_bytes()
 
+    def test_other_spelling_of_the_settings_runs_nothing(self, syn_path, tmp_path):
+        first = run_grid(mini_manifest(syn_path), tmp_path / "runs")
+        again = run_grid(mini_manifest(syn_path, recipe={}, sim={"substitution_rate": 0.15}),
+                         tmp_path / "runs")
+        assert (first.cells_run, again.cells_run, again.cells_skipped) == (10, 0, 10)
+
+    @pytest.mark.parametrize("name,damage", [
+        ("report.json", lambda report: {}),
+        ("report.json", lambda report: []),
+        ("report.json", lambda report: {**report, "slu_f1": "high"}),
+        ("meta.json", lambda meta: {k: v for k, v in meta.items() if k != "scheme"}),
+    ], ids=["report_empty_object", "report_array", "report_metric_string",
+            "meta_no_scheme"])
+    def test_damaged_cell_is_rerun_and_counted_missing(self, syn_path, tmp_path, name,
+                                                       damage):
+        manifest = mini_manifest(syn_path)
+        runs = tmp_path / "runs"
+        assert run_grid(manifest, runs).ok
+        path = runs / "syn__direct__p0.1__s1" / name
+        whole, aggregate_csv = path.read_bytes(), (runs / "aggregate.csv").read_bytes()
+        path.write_text(json.dumps(damage(json.loads(whole))))
+        rows, missing = aggregate_results(manifest, runs)
+        assert missing == ["syn__direct__p0.1__s1"]
+        assert {r["cell"].n for r in rows if r["scheme"] == "direct"
+                and r["speech_level"] == 0.1} == {1}
+        again = run_grid(manifest, runs)
+        assert again.ok and (again.cells_run, again.cells_skipped) == (1, 9)
+        assert path.read_bytes() == whole
+        assert (runs / "aggregate.csv").read_bytes() == aggregate_csv
+
     def test_truncated_report_is_rerun(self, syn_path, tmp_path):
         manifest = mini_manifest(syn_path)
         run_grid(manifest, tmp_path / "runs")
@@ -279,9 +332,9 @@ class TestCellIdentity:
         assert run_grid(manifest, tmp_path / "clean").ok
         real = slumix.grid._read_cell
 
-        def edit_then_read(cell_dir, cell_hash):
+        def edit_then_read(*args):
             save_corpus(make_synthetic_corpus(300, seed=1), corpus)
-            return real(cell_dir, cell_hash)
+            return real(*args)
 
         monkeypatch.setattr(slumix.grid, "_read_cell", edit_then_read)
         assert run_grid(manifest, tmp_path / "edited").ok
@@ -299,19 +352,13 @@ class TestCellIdentity:
         assert "FileNotFoundError" in failure["traceback"]
 
 
-@pytest.fixture(scope="module")
-def xl_setup(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("xl")
-    for lang, seed in (("fr", 0), ("de", 1), ("ko", 2)):
-        save_corpus(make_synthetic_corpus(160, seed=seed, lang=lang,
-                                          name=f"c-{lang}"),
-                    tmp / f"{lang}.jsonl")
-    manifest = ExperimentManifest(
+def xl_manifest(tmp, seeds=(1,)):
+    return ExperimentManifest(
         corpora={"fr": str(tmp / "fr.jsonl"), "de": str(tmp / "de.jsonl"),
                  "ko": str(tmp / "ko.jsonl")},
         schemes=("text_only", "curriculum"),
         speech_levels=(0.1,),
-        seeds=(1,),
+        seeds=seeds,
         epochs=2,
         recipe={"profile": "desk"},
         sim={"substitution_rate": 0.1, "deletion_rate": 0.1},
@@ -319,7 +366,16 @@ def xl_setup(tmp_path_factory):
                                       modes=("zero_shot", "T", "T_S"),
                                       fewshot_pairs=8),
     )
-    outcome = run_grid(manifest, tmp / "runs")
+
+
+@pytest.fixture(scope="module")
+def xl_setup(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("xl")
+    for lang, seed in (("fr", 0), ("de", 1), ("ko", 2)):
+        save_corpus(make_synthetic_corpus(160, seed=seed, lang=lang,
+                                          name=f"c-{lang}"),
+                    tmp / f"{lang}.jsonl")
+    outcome = run_grid(xl_manifest(tmp), tmp / "runs")
     return tmp, outcome
 
 
@@ -386,24 +442,28 @@ def test_each_input_compiled_once_per_run(kind, syn_path, xl_setup, tmp_path, mo
 def test_crosslingual_added_seed_runs_only_its_cells(xl_setup, tmp_path):
     tmp, _ = xl_setup
     shutil.copytree(tmp / "runs", tmp_path / "runs")
-    manifest = ExperimentManifest(
-        corpora={"fr": str(tmp / "fr.jsonl"), "de": str(tmp / "de.jsonl"),
-                 "ko": str(tmp / "ko.jsonl")},
-        schemes=("text_only", "curriculum"),
-        speech_levels=(0.1,),
-        seeds=(1, 2),
-        epochs=2,
-        recipe={"profile": "desk"},
-        sim={"substitution_rate": 0.1, "deletion_rate": 0.1},
-        crosslingual=CrossLingualSpec(source="fr", targets=("de", "ko"),
-                                      modes=("zero_shot", "T", "T_S"),
-                                      fewshot_pairs=8),
-    )
-    outcome = run_grid(manifest, tmp_path / "runs")
+    outcome = run_grid(xl_manifest(tmp, seeds=(1, 2)), tmp_path / "runs")
     assert outcome.ok
     assert (outcome.cells_run, outcome.cells_skipped) == (6, 6)
     assert {r["cell"].n for r in outcome.rows} == {2}
     assert {r["target_lang"] for r in outcome.rows} == {"de", "ko"}
+
+
+def test_crosslingual_report_missing_a_target_is_rerun(xl_setup, tmp_path):
+    tmp, _ = xl_setup
+    runs = tmp_path / "runs"
+    shutil.copytree(tmp / "runs", runs)
+    manifest = xl_manifest(tmp)
+    report = runs / "xl__T__p0.1__s1" / "report.json"
+    whole = report.read_bytes()
+    obj = json.loads(whole)
+    del obj["per_target"]["ko"]
+    report.write_text(json.dumps(obj))
+    assert aggregate_results(manifest, runs)[1] == ["xl__T__p0.1__s1"]
+    outcome = run_grid(manifest, runs)
+    assert outcome.ok and (outcome.cells_run, outcome.cells_skipped) == (1, 5)
+    assert report.read_bytes() == whole
+    assert (runs / "aggregate.csv").read_bytes() == (tmp / "runs" / "aggregate.csv").read_bytes()
 
 
 class TestCli:
@@ -480,8 +540,10 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("field,value", [
-        ("recordings", "a.flac"), ("entities", ["time"]), ("entities", "time"),
-    ], ids=["recordings_string", "entities_list_of_strings", "entities_string"])
+        ("recordings", "a.flac"), ("recordings", [5]), ("entities", ["time"]),
+        ("entities", "time"),
+    ], ids=["recordings_string", "recordings_entry_number", "entities_list_of_strings",
+            "entities_string"])
     def test_malformed_slurp_row_exit_1(self, tmp_path, capsys, field, value):
         src = tmp_path / "slurp.jsonl"
         src.write_text(json.dumps({
@@ -551,6 +613,36 @@ class TestCli:
         assert logged["event"] == "aggregated"
         assert logged["missing"] == 5
         assert {r["cell"].n for r in read_rows_csv(tmp_path / "agg.csv")} == {1}
+
+    def test_aggregate_command_counts_a_damaged_cell_missing(self, syn_path, tmp_path,
+                                                             capsys):
+        manifest = mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,))
+        run_grid(manifest, tmp_path / "runs")
+        (tmp_path / "runs" / "syn__direct__p0.1__s1" / "report.json").write_text("{}")
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest_to_dict(manifest)))
+        assert main(["--json", "aggregate", "--config", str(manifest_path),
+                     "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / "agg.csv")]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["missing"] == 1
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("content,message", [
+        ("corpus,mode\nsyn,\n", "2: missing column 'target_lang'"),
+        (",".join(CSV_COLUMNS) + "\nsyn,,,direct,0.1,slu_f1,high,,1,\n",
+         "2: malformed row (could not convert string to float: 'high')"),
+        (",".join(CSV_COLUMNS) + "\nsyn,,,direct,0.1,slu_f1,0.5,,1,\nsyn,,,direct,x,slu_f1,"
+         "0.5,,1,\n", "3: malformed row (could not convert string to float: 'x')"),
+        (",".join(CSV_COLUMNS) + "\nsyn,,,direct,0.1,slu_f1,0.5,,one,\n",
+         "2: malformed row (invalid literal for int() with base 10: 'one')"),
+    ], ids=["missing_column", "mean_not_a_number", "level_not_a_number", "n_not_an_int"])
+    def test_malformed_aggregate_csv_exit_1(self, tmp_path, capsys, content, message):
+        agg = tmp_path / "agg.csv"
+        agg.write_text(content)
+        assert main(["report", "--agg", str(agg), "--style", "monolingual",
+                     "--out-prefix", str(tmp_path / "table")]) == 1
+        assert capsys.readouterr().err == f"error: {agg}:{message}\n"
+        assert not (tmp_path / "table.md").exists()
 
     def test_empty_predictions_exit_1(self, syn_path, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

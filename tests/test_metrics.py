@@ -15,10 +15,7 @@ from slumix import (
     MetricsError,
     PredictionRecord,
     SemanticLabel,
-    entity_prf,
     evaluate,
-    intent_accuracy,
-    slu_f1,
 )
 from slumix.corpus import UNPARSEABLE
 from slumix.metrics import _max_credit, char_credit, word_credit
@@ -43,55 +40,57 @@ PERFECT = [
 class TestIntentAccuracy:
     def test_all_correct(self):
         records = [rec(str(i), lab("a", "b"), lab("a", "b")) for i in range(4)]
-        assert intent_accuracy(records) == 1.0
+        assert evaluate(records).intent_accuracy == 1.0
 
     def test_half_correct(self):
         records = [rec("1", lab("a", "b"), lab("a", "b")),
                    rec("2", lab("a", "b"), lab("a", "b")),
                    rec("3", lab("a", "b"), lab("x", "b")),
                    rec("4", lab("a", "b"), lab("a", "y"))]
-        assert intent_accuracy(records) == 0.5
+        assert evaluate(records).intent_accuracy == 0.5
 
     def test_scenario_right_action_wrong_is_wrong(self):
         records = [rec("1", lab("alarm", "set"), lab("alarm", "cancel"))]
-        assert intent_accuracy(records) == 0.0
+        assert evaluate(records).intent_accuracy == 0.0
 
     def test_unparseable_is_wrong(self):
-        assert intent_accuracy([rec("1", lab("a", "b"), UNPARSEABLE)]) == 0.0
+        assert evaluate([rec("1", lab("a", "b"), UNPARSEABLE)]).intent_accuracy == 0.0
 
     def test_normalization_applied(self):
-        assert intent_accuracy([rec("1", lab(" Alarm ", "SET"), lab("alarm", "set"))]) == 1.0
+        records = [rec("1", lab(" Alarm ", "SET"), lab("alarm", "set"))]
+        assert evaluate(records).intent_accuracy == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(MetricsError, match="empty"):
-            intent_accuracy([])
+            evaluate([])
 
     def test_duplicate_ids_rejected(self):
         records = [rec("1", lab("a", "b"), lab("a", "b"))] * 2
         with pytest.raises(MetricsError, match="duplicate"):
-            intent_accuracy(records)
+            evaluate(records)
 
 
 class TestEntityPRF:
     def test_exact_match(self):
-        p, r, f1 = entity_prf([rec("1", lab("a", "b", [("time", "seven am")]),
-                                   lab("a", "b", [("time", "seven am")]))])
-        assert (p, r, f1) == (1.0, 1.0, 1.0)
+        report = evaluate([rec("1", lab("a", "b", [("time", "seven am")]),
+                               lab("a", "b", [("time", "seven am")]))])
+        assert (report.entity_precision, report.entity_recall, report.entity_f1) == \
+            (1.0, 1.0, 1.0)
 
     def test_empty_prediction(self):
-        p, r, f1 = entity_prf([rec("1", lab("a", "b", [("time", "seven am")]),
-                                   lab("a", "b"))])
-        assert (p, r, f1) == (0.0, 0.0, 0.0)
+        report = evaluate([rec("1", lab("a", "b", [("time", "seven am")]), lab("a", "b"))])
+        assert (report.entity_precision, report.entity_recall, report.entity_f1) == \
+            (0.0, 0.0, 0.0)
 
     def test_mixed_counts(self):
         # gold {(a,x),(b,y)}, pred {(a,x),(b,z),(c,x)} -> TP=1 FP=2 FN=1
         records = [rec("1", lab("s", "t", [("a", "x"), ("b", "y")]),
                        lab("s", "t", [("a", "x"), ("b", "z"), ("c", "x")]))]
-        p, r, f1 = entity_prf(records)
-        assert p == pytest.approx(1 / 3)
-        assert r == pytest.approx(1 / 2)
-        assert f1 == pytest.approx(0.4)
-        counts = evaluate(records).counts
+        report = evaluate(records)
+        assert report.entity_precision == pytest.approx(1 / 3)
+        assert report.entity_recall == pytest.approx(1 / 2)
+        assert report.entity_f1 == pytest.approx(0.4)
+        counts = report.counts
         assert (counts["tp"], counts["fp"], counts["fn"]) == (1, 2, 1)
 
     def test_duplicate_entities_as_multiset(self):
@@ -118,23 +117,23 @@ class TestCredits:
 
 class TestSluF1:
     def test_perfect(self):
-        assert slu_f1(PERFECT) == 1.0
+        assert evaluate(PERFECT).slu_f1 == 1.0
 
     def test_all_unparseable(self):
         records = [rec("1", lab("a", "b", [("t", "v")]), UNPARSEABLE)]
-        assert slu_f1(records) == 0.0
+        assert evaluate(records).slu_f1 == 0.0
 
     def test_intent_only_records(self):
         # no entities anywhere: perfect intents give slu_f1 = 1
         records = [rec("1", lab("a", "b"), lab("a", "b")),
                    rec("2", lab("c", "d"), lab("c", "d"))]
-        assert slu_f1(records) == 1.0
-        assert intent_accuracy(records) == 1.0
+        assert evaluate(records).slu_f1 == 1.0
+        assert evaluate(records).intent_accuracy == 1.0
 
     def test_partial_filler_matches_oracle(self):
         gold = lab("alarm", "set", [("time", "seven am")])
         pred = lab("alarm", "set", [("time", "seven")])
-        ours = slu_f1([rec("1", gold, pred)])
+        ours = evaluate([rec("1", gold, pred)]).slu_f1
         ref = ref_evaluate([(("alarm", "set", [("time", "seven am")]),
                              ("alarm", "set", [("time", "seven")]))])[4]
         assert ours == pytest.approx(ref, abs=1e-12)
@@ -180,12 +179,12 @@ class TestOracleEquivalence:
         records = [rec(str(i), to_label(g), to_label(p))
                    for i, (g, p) in enumerate(triples)]
         ref_acc, ref_p, ref_r, ref_f1, ref_slu = ref_evaluate(triples)
-        assert intent_accuracy(records) == pytest.approx(ref_acc, abs=1e-12)
-        p, r, f1 = entity_prf(records)
-        assert p == pytest.approx(ref_p, abs=1e-12)
-        assert r == pytest.approx(ref_r, abs=1e-12)
-        assert f1 == pytest.approx(ref_f1, abs=1e-12)
-        assert slu_f1(records) == pytest.approx(ref_slu, abs=1e-12)
+        report = evaluate(records)
+        assert report.intent_accuracy == pytest.approx(ref_acc, abs=1e-12)
+        assert report.entity_precision == pytest.approx(ref_p, abs=1e-12)
+        assert report.entity_recall == pytest.approx(ref_r, abs=1e-12)
+        assert report.entity_f1 == pytest.approx(ref_f1, abs=1e-12)
+        assert report.slu_f1 == pytest.approx(ref_slu, abs=1e-12)
 
 
 class TestInvariances:
@@ -220,13 +219,13 @@ class TestInvariances:
         gold = lab("s", "t", [("a", "x")])
         with_fp = [rec("1", gold, lab("s", "t", [("a", "x"), ("b", "z")]))]
         without = [rec("1", gold, lab("s", "t", [("a", "x")]))]
-        assert entity_prf(without)[0] >= entity_prf(with_fp)[0]
+        assert evaluate(without).entity_precision >= evaluate(with_fp).entity_precision
 
     def test_adding_tp_never_decreases_f1(self):
         gold = lab("s", "t", [("a", "x"), ("b", "y")])
         partial = [rec("1", gold, lab("s", "t", [("a", "x")]))]
         fuller = [rec("1", gold, lab("s", "t", [("a", "x"), ("b", "y")]))]
-        assert entity_prf(fuller)[2] >= entity_prf(partial)[2]
+        assert evaluate(fuller).entity_f1 >= evaluate(partial).entity_f1
 
     # Square groups of 1-7 spans per side, and every rectangular shape with
     # 8 spans in all (the oracle's cost grows factorially with the sizes).
