@@ -101,6 +101,9 @@ class ExperimentManifest:
     def __post_init__(self):
         if not self.corpora:
             raise ConfigError("manifest needs at least one corpus")
+        for name, path in self.corpora.items():
+            if not isinstance(path, str) or not path:
+                raise ConfigError(f"corpus {name!r} path is not a non-empty string ({path!r})")
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ConfigError(f"unknown scheme {scheme!r}")
@@ -135,15 +138,16 @@ class ExperimentManifest:
                 raise ConfigError(f"{', '.join(differ) or 'two cells'} share the cell id "
                                   f"{cell.cell_id!r}")
         # A recipe or sim given as its manifest section (a dict) is built once,
-        # the sim at seed 0: each cell derives its own.
+        # the sim at seed 0 whatever seed it is given: each cell derives its own.
         if not isinstance(self.recipe, TrainRecipe):
             object.__setattr__(self, "recipe", recipe_from_config(self.recipe))
-        if not isinstance(self.sim, SpeechSimConfig):
+        sim = self.sim
+        if not isinstance(sim, SpeechSimConfig):
             try:
-                sim = sim_from_dict(self.sim, "manifest section 'sim'", seeded=False)
+                sim = sim_from_dict(sim, "manifest section 'sim'", seeded=False)
             except TrainError as exc:
                 raise ConfigError(str(exc)) from exc
-            object.__setattr__(self, "sim", sim)
+        object.__setattr__(self, "sim", replace(sim, seed=0))
 
 
 def manifest_to_dict(manifest: ExperimentManifest) -> dict:
@@ -169,7 +173,7 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
     if obj.get("manifest_version", 1) != 1:
         raise ConfigError(f"unsupported manifest version {obj.get('manifest_version')!r}")
     xl = None
-    if obj.get("crosslingual"):
+    if obj.get("crosslingual") is not None:
         raw = obj["crosslingual"]
         xl = CrossLingualSpec(
             source=raw["source"],
@@ -211,7 +215,7 @@ def recipe_from_config(cfg: dict) -> TrainRecipe:
 
 
 # Part of every cell hash: bump it when a cell's outputs change for the same inputs.
-CELL_FORMAT = 3
+CELL_FORMAT = 4
 
 
 def _fmt_level(level: float) -> str:
@@ -493,17 +497,19 @@ def run_grid(manifest: ExperimentManifest, out_dir) -> GridOutcome:
         except Exception as exc:
             outcome.failures.append({"cell": cell.cell_id, "type": type(exc).__name__,
                                      "error": str(exc), "traceback": traceback.format_exc()})
-    outcome.rows, _ = aggregate_results(manifest, out)
+    outcome.rows, _ = aggregate_results(manifest, out, inputs)
     write_rows_csv(outcome.rows, out / "aggregate.csv")
     return outcome
 
 
-def aggregate_results(manifest: ExperimentManifest, out_dir) -> tuple[list[dict], list[str]]:
+def aggregate_results(manifest: ExperimentManifest, out_dir,
+                      inputs: Optional[_GridInputs] = None) -> tuple[list[dict], list[str]]:
     """One row per (group, metric) over the manifest's finished cells: mean,
     CI half-width and n; and the ids of the manifest's cells not finished
-    under their current inputs. Nothing else in ``out_dir`` is read."""
+    under their current inputs, those of ``inputs`` (a run's own) if given.
+    Nothing else in ``out_dir`` is read."""
     out_dir = Path(out_dir)
-    inputs = _GridInputs(manifest)
+    inputs = _GridInputs(manifest) if inputs is None else inputs
     groups: dict[tuple, tuple[dict, list]] = {}
     missing = []
     for cell in _grid_cells(manifest):

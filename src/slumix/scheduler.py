@@ -17,13 +17,16 @@ level contains the smaller ones.
 
 All randomness is drawn from streams derived via SHA-256 from (seed, purpose,
 epoch), so plans are bit-identical across runs and platforms.
+
+A plan file holds only what ``build_plan`` takes (config, text ids, speech
+permutation), and loading one rebuilds the plan, so it keeps these invariants.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -180,37 +183,19 @@ def plan_totals(plan: MixPlan) -> dict:
 
 
 def plan_to_dict(plan: MixPlan) -> dict:
+    """The plan file: what ``build_plan`` takes, the text ids once."""
     return {
         "kind": "mix_plan",
-        "config": {
-            "scheme": plan.config.scheme,
-            "p": plan.config.p,
-            "epochs": plan.config.epochs,
-            "seed": plan.config.seed,
-            "n_speech": plan.config.n_speech,
-        },
+        "config": asdict(plan.config),
+        "text_item_ids": list(plan.epochs[0].text_item_ids),
         "permutation": list(plan.permutation),
-        "epochs": [
-            {
-                "epoch": ep.epoch,
-                "text_item_ids": list(ep.text_item_ids),
-                "speech_item_ids": list(ep.speech_item_ids),
-            }
-            for ep in plan.epochs
-        ],
     }
 
 
 def plan_from_dict(obj: dict) -> MixPlan:
-    cfg = obj["config"]
-    config = SchedulerConfig(scheme=cfg["scheme"], p=cfg["p"], epochs=cfg["epochs"],
-                             seed=cfg["seed"], n_speech=cfg["n_speech"])
-    epochs = tuple(
-        EpochPlan(epoch=ep["epoch"], text_item_ids=tuple(ep["text_item_ids"]),
-                  speech_item_ids=tuple(ep["speech_item_ids"]))
-        for ep in obj["epochs"]
-    )
-    return MixPlan(config=config, epochs=epochs, permutation=tuple(obj["permutation"]))
+    """``build_plan`` of a plan file, so a loaded plan keeps the scheduler's rules."""
+    return build_plan(SchedulerConfig(**obj["config"]), obj["text_item_ids"],
+                      obj["permutation"])
 
 
 def save_plan(plan: MixPlan, path) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import UNPARSEABLE, Corpus, Entity, SemanticLabel
 from .errors import TrainError
 from .jsonio import read_json, write_json
-from .scheduler import MixPlan, derive_rng, epoch_batches, plan_to_dict, plan_totals
+from .scheduler import MixPlan, derive_rng, epoch_batches, plan_totals
 from .trainer_recipes import TrainRecipe, epoch_phases, is_number, lr_at
 
 FEATURE_DIM = 2 ** 18  # hashed feature space; crc32 keeps it platform-stable
@@ -495,7 +495,8 @@ def export_manifest(plan: MixPlan, recipe: TrainRecipe, corpus_ref: str,
         "decode_hint": {"strategy": "beam_search", "beams": recipe.beams},
         "freeze": list(FREEZE_HINT_TEXT_ONLY) if plan.config.scheme == "text_only" else [],
         "lr_phases": phases,
-        "epochs": plan_to_dict(plan)["epochs"],
+        "epochs": [{"epoch": ep.epoch, "text_item_ids": list(ep.text_item_ids),
+                    "speech_item_ids": list(ep.speech_item_ids)} for ep in plan.epochs],
         "totals": plan_totals(plan),
     }
     if path is not None:

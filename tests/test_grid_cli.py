@@ -34,7 +34,7 @@ from slumix.grid import (
 )
 from slumix.errors import ConfigError
 from slumix.scheduler import derive_seed
-from slumix.trainer import FeatureStore
+from slumix.trainer import FeatureStore, SpeechSimConfig
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,16 @@ class TestManifest:
         for value in spellings:
             path.write_text(json.dumps({**manifest_to_dict(manifests[0]), section: value}))
             assert load_manifest(path) == manifests[0]
+
+    def test_sim_seed_is_not_a_manifest_setting(self, syn_path):
+        # Each cell derives its own sim seed, so the manifest's sim is at seed 0.
+        seeded = mini_manifest(syn_path, sim=SpeechSimConfig(seed=5))
+        unseeded = mini_manifest(syn_path)
+        assert seeded == unseeded and seeded.sim.seed == 0
+        assert manifest_from_dict(manifest_to_dict(seeded)) == seeded
+        cell = slumix.grid._grid_cells(seeded)[0]
+        assert slumix.grid._GridInputs(seeded).cell_hash(cell) == \
+            slumix.grid._GridInputs(unseeded).cell_hash(cell)
 
     def test_written_sections_are_the_built_settings(self, syn_path):
         obj = manifest_to_dict(mini_manifest(syn_path, recipe={"peak_lr": 0.7}))
@@ -342,6 +352,40 @@ class TestCellIdentity:
             rel = f"syn__direct__p0.1__s1/{name}"
             assert (tmp_path / "edited" / rel).read_bytes() == \
                 (tmp_path / "clean" / rel).read_bytes(), name
+
+    def test_run_aggregates_the_cells_it_hashed(self, syn_path, tmp_path, monkeypatch):
+        # The corpus file changes after the last cell is written: the run's
+        # rows still cover every cell it ran, checked against the bytes it hashed.
+        corpus = tmp_path / "syn.jsonl"
+        shutil.copyfile(syn_path, corpus)
+        manifest = mini_manifest(corpus, seeds=(1,), speech_levels=(0.1,))
+        real = slumix.grid.aggregate_results
+
+        def append_then_aggregate(*args):
+            with open(corpus, "a", encoding="utf-8") as f:
+                f.write("\n")
+            return real(*args)
+
+        monkeypatch.setattr(slumix.grid, "aggregate_results", append_then_aggregate)
+        outcome = run_grid(manifest, tmp_path / "runs")
+        assert outcome.ok and outcome.cells_run == 3
+        assert {(r["scheme"], r["cell"].n) for r in outcome.rows} == {
+            ("text_only", 1), ("direct", 1), ("curriculum", 1)}
+
+    def test_run_reads_each_corpus_file_once(self, syn_path, tmp_path, monkeypatch):
+        reads = Counter()
+        real = Path.read_bytes
+
+        def counted(self):
+            reads[str(self)] += 1
+            return real(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        manifest = mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,))
+        for expected_run in (3, 0):
+            reads.clear()
+            assert run_grid(manifest, tmp_path / "runs").cells_run == expected_run
+            assert reads[str(syn_path)] == 1
 
     def test_failure_records_traceback(self, tmp_path):
         outcome = run_grid(mini_manifest(tmp_path / "absent.jsonl", seeds=(1,)),
@@ -765,6 +809,54 @@ class TestCli:
         out = tmp_path / "runs"
         assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("corpora", {"x": 5}, "corpus 'x' path is not a non-empty string (5)"),
+        ("corpora", {"x": ""}, "corpus 'x' path is not a non-empty string ('')"),
+        ("crosslingual", {}, "manifest missing field 'source'"),
+        ("crosslingual", [], "manifest has a malformed field"),
+    ], ids=["corpus_path_number", "corpus_path_empty", "crosslingual_empty_object",
+            "crosslingual_empty_array"])
+    def test_bad_corpus_path_or_crosslingual_section_exit_1_before_any_cell(
+            self, syn_path, tmp_path, capsys, field, value, message):
+        manifest = manifest_to_dict(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)))
+        manifest[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "export-manifest"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda obj: obj["text_item_ids"].append(obj["text_item_ids"][0]),
+         "error: text ids contain duplicates"),
+        (lambda obj: obj["permutation"].append(obj["permutation"][0]),
+         "error: speech ordering contains duplicates"),
+        (lambda obj: obj.update(permutation=obj["permutation"][:1]),
+         "exceeds available speech ordering (1)"),
+        (lambda obj: obj.update(epochs=[]) or obj.pop("text_item_ids"),
+         "plan missing field 'text_item_ids'"),
+    ], ids=["repeated_text_id", "repeated_speech_id", "budget_over_permutation",
+            "earlier_layout"])
+    def test_plan_file_breaking_the_scheduler_rules_exit_1(self, syn_path, tmp_path, capsys,
+                                                           command, edit, message):
+        plan = tmp_path / "plan.json"
+        assert main(["plan", "--scheme", "direct", "--p", "0.5", "--epochs", "2",
+                     "--seed", "1", "--corpus", str(syn_path), "--out", str(plan)]) == 0
+        obj = json.loads(plan.read_text())
+        edit(obj)
+        plan.write_text(json.dumps(obj))
+        capsys.readouterr()
+        source = (["--corpus", str(syn_path)] if command == "train"
+                  else ["--corpus-ref", str(syn_path)])
+        out = tmp_path / "out.json"
+        assert main([command, "--plan", str(plan), *source, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "export-manifest"])

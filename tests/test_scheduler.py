@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,9 +208,21 @@ class TestProperties:
 
 class TestSerialization:
     def test_json_roundtrip(self, tmp_path):
-        plan = make("curriculum", 0.25)
-        assert plan_from_dict(plan_to_dict(plan)) == plan
+        path = tmp_path / "plan.json"
+        for scheme in ("text_only", "direct", "curriculum"):
+            for p in (0.0, 0.25, 1.0):
+                for epochs in (1, 3):
+                    plan = make(scheme, p, epochs=epochs, n=40)
+                    assert plan_from_dict(plan_to_dict(plan)) == plan
+                    save_plan(plan, path)
+                    assert load_plan(path) == plan
+        assert isinstance(load_plan(path), MixPlan)
+
+    def test_file_holds_what_the_plan_is_built_from(self, tmp_path):
+        plan = make("curriculum", 0.25, n=40)
         path = tmp_path / "plan.json"
         save_plan(plan, path)
-        assert load_plan(path) == plan
-        assert isinstance(load_plan(path), MixPlan)
+        obj = json.loads(path.read_text())
+        assert list(obj) == ["kind", "config", "text_item_ids", "permutation"]
+        assert obj["text_item_ids"] == TEXT
+        assert obj["permutation"] == list(plan.permutation)

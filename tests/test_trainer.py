@@ -385,6 +385,16 @@ class TestManifest:
         assert manifest["freeze"] == ["audio_encoder", "adapter"]
         assert all(ep["speech_item_ids"] == [] for ep in manifest["epochs"])
 
+    @pytest.mark.parametrize("scheme", ["text_only", "direct", "curriculum"])
+    def test_epochs_are_the_expanded_plan(self, scheme):
+        plan = plan_for(speech_train_corpus(40), scheme, 0.25)
+        manifest = export_manifest(plan, published_recipe(), "corpus.jsonl")
+        assert manifest["epochs"] == [
+            {"epoch": ep.epoch, "text_item_ids": list(ep.text_item_ids),
+             "speech_item_ids": list(ep.speech_item_ids)} for ep in plan.epochs]
+        assert all(list(ep) == ["epoch", "text_item_ids", "speech_item_ids"]
+                   for ep in manifest["epochs"])
+
 
 class TestMonotoneDataBenefit:
     def test_full_corpus_beats_one_percent(self):
