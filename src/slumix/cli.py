@@ -121,7 +121,8 @@ def _cmd_evaluate(args, log: _Log) -> int:
 
 
 def _cmd_aggregate(args, log: _Log) -> int:
-    rows, missing = gridmod.aggregate_results(load_manifest(args.config), args.runs)
+    results, missing = gridmod.read_results(load_manifest(args.config), args.runs)
+    rows = gridmod.aggregate_results(results)
     write_rows_csv(rows, args.out)
     log.emit("aggregated", rows=len(rows), missing=len(missing), out=str(args.out))
     return 1 if missing else 0

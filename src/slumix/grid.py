@@ -8,9 +8,10 @@ evaluate each target language's test split separately.
 Each cell is keyed by a hash of its own inputs (the contents of the corpus
 files it reads included), so an interrupted or extended grid skips the cells
 it finished before. Every cell persists ``plan.json``, ``model.json``,
-``preds.jsonl``, ``report.json`` and ``meta.json`` under ``runs/<cell_id>/``;
-aggregation re-reads the reports of the manifest's cells only, so two runs of
-one manifest produce byte-identical aggregate CSVs.
+``preds.jsonl``, ``report.json`` and ``meta.json`` under ``runs/<cell_id>/``.
+A run aggregates the results its cells return (the reports a fresh cell
+computed, or those a finished cell's skip check read) in manifest order, so
+two runs of one manifest produce byte-identical aggregate CSVs.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import json
 import os
 import re
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .corpus import (
     Corpus,
@@ -137,6 +138,9 @@ class ExperimentManifest:
                 differ = [f"{k} {a[k]!r} and {b[k]!r}" for k in a if a[k] != b[k]]
                 raise ConfigError(f"{', '.join(differ) or 'two cells'} share the cell id "
                                   f"{cell.cell_id!r}")
+        if not seen:
+            raise ConfigError("manifest enumerates no cell (check its schemes, "
+                              "speech levels and cross-lingual modes)")
         # A recipe or sim given as its manifest section (a dict) is built once,
         # the sim at seed 0 whatever seed it is given: each cell derives its own.
         if not isinstance(self.recipe, TrainRecipe):
@@ -334,7 +338,7 @@ def _read_cell(cell_dir: Path, cell_hash: str, xl: Optional[CrossLingualSpec]
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Cell:
     """One cell of a grid: its directory name and what it is computed from."""
 
@@ -342,6 +346,17 @@ class _Cell:
     key: dict  # identity fields of meta.json: corpus and scheme, or mode
     level: float
     seed: int
+
+
+class CellResult(NamedTuple):
+    """One finished cell: whether this run computed it (else it was found
+    finished), its scheme and the report of each eval target language ("" on
+    a monolingual grid)."""
+
+    cell: _Cell
+    ran: bool
+    scheme: str
+    reports: dict[str, MetricReport]
 
 
 def _grid_cells(manifest: ExperimentManifest) -> list[_Cell]:
@@ -395,14 +410,15 @@ class _GridInputs:
 
 
 def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
-              cell: _Cell, build) -> tuple[str, bool]:
+              cell: _Cell, build) -> CellResult:
     """Skip a finished cell; otherwise plan, train, predict and score each
     eval target, and write the cell. ``build()`` returns the training corpus,
     its scheme, the speech level to plan at and the eval target corpora."""
     cell_hash = inputs.cell_hash(cell)
     cell_dir = out_dir / cell.cell_id
-    if _read_cell(cell_dir, cell_hash, manifest.crosslingual) is not None:
-        return cell.cell_id, False
+    done = _read_cell(cell_dir, cell_hash, manifest.crosslingual)
+    if done is not None:
+        return CellResult(cell, False, *done)
     corpus, scheme, plan_level, targets = build()
     plan = make_plan_for_corpus(corpus, scheme, plan_level, cell.seed, manifest.epochs)
     sim = replace(manifest.sim, seed=derive_seed(cell.seed, "speech-sim"))
@@ -411,21 +427,22 @@ def _run_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
     reports, pred_rows = {}, []
     for target in targets:
         preds = predict_records(model, eval_records(target), features=inputs.features)
-        reports[target.lang] = report_to_dict(evaluate(preds))
+        reports[target.lang if xl else ""] = evaluate(preds)
         rows = prediction_rows(preds)
         pred_rows += [{"target_lang": target.lang, **row} for row in rows] if xl else rows
-    report = ({"kind": "crosslingual_report", "scheme": scheme, "per_target": reports}
-              if xl else reports[corpus.lang])
+    report = ({"kind": "crosslingual_report", "scheme": scheme,
+               "per_target": {lang: report_to_dict(r) for lang, r in reports.items()}}
+              if xl else report_to_dict(reports[""]))
     meta = {**cell.key, "cell_hash": cell_hash, "scheme": scheme,
             "speech_level": cell.level, "seed": cell.seed,
             "plan_totals": plan_totals(plan), "train_log": model.train_log}
     _write_cell(cell_dir, plan, model, pred_rows, report, meta)
-    return cell.cell_id, True
+    return CellResult(cell, True, scheme, reports)
 
 
 def _run_mono_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
                    corpus_name: str, scheme: str, level: float, seed: int,
-                   cell: _Cell) -> tuple[str, bool]:
+                   cell: _Cell) -> CellResult:
     def build():
         corpus = inputs.corpus(corpus_name)
         return corpus, scheme, level, [corpus]
@@ -448,7 +465,7 @@ def _restrict_source_speech(source: Corpus, level: float, seed: int) -> Corpus:
 
 
 def _run_xl_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Path,
-                 mode: str, level: float, seed: int, cell: _Cell) -> tuple[str, bool]:
+                 mode: str, level: float, seed: int, cell: _Cell) -> CellResult:
     def build():
         xl = manifest.crosslingual
         source = _restrict_source_speech(inputs.corpus(xl.source), level, seed)
@@ -463,12 +480,19 @@ def _run_xl_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Pat
     return _run_cell(manifest, inputs, out_dir, cell, build)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridOutcome:
-    cells_run: int = 0
-    cells_skipped: int = 0
-    failures: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    results: list  # a CellResult per cell that did not fail, in manifest order
+    failures: list
+    rows: list
+
+    @property
+    def cells_run(self) -> int:
+        return sum(result.ran for result in self.results)
+
+    @property
+    def cells_skipped(self) -> int:
+        return len(self.results) - self.cells_run
 
     @property
     def ok(self) -> bool:
@@ -487,31 +511,27 @@ def run_grid(manifest: ExperimentManifest, out_dir) -> GridOutcome:
     out.mkdir(parents=True, exist_ok=True)
     inputs = _GridInputs(manifest)
     runner = _run_mono_cell if manifest.crosslingual is None else _run_xl_cell
-    outcome = GridOutcome()
+    results, failures = [], []
     for cell in _grid_cells(manifest):
         try:
-            _, ran = runner(manifest, inputs, out, *cell.key.values(), cell.level, cell.seed,
-                            cell)
-            outcome.cells_run += int(ran)
-            outcome.cells_skipped += int(not ran)
+            results.append(runner(manifest, inputs, out, *cell.key.values(), cell.level,
+                                  cell.seed, cell))
         except Exception as exc:
-            outcome.failures.append({"cell": cell.cell_id, "type": type(exc).__name__,
-                                     "error": str(exc), "traceback": traceback.format_exc()})
-    outcome.rows, _ = aggregate_results(manifest, out, inputs)
-    write_rows_csv(outcome.rows, out / "aggregate.csv")
-    return outcome
+            failures.append({"cell": cell.cell_id, "type": type(exc).__name__,
+                             "error": str(exc), "traceback": traceback.format_exc()})
+    rows = aggregate_results(results)
+    write_rows_csv(rows, out / "aggregate.csv")
+    return GridOutcome(results, failures, rows)
 
 
-def aggregate_results(manifest: ExperimentManifest, out_dir,
-                      inputs: Optional[_GridInputs] = None) -> tuple[list[dict], list[str]]:
-    """One row per (group, metric) over the manifest's finished cells: mean,
-    CI half-width and n; and the ids of the manifest's cells not finished
-    under their current inputs, those of ``inputs`` (a run's own) if given.
-    Nothing else in ``out_dir`` is read."""
+def read_results(manifest: ExperimentManifest, out_dir) -> tuple[list[CellResult], list[str]]:
+    """The results of the manifest's cells finished in ``out_dir`` under their
+    current inputs, in manifest order, and the ids of its other cells (those
+    of a missing corpus file included). Each cell's ``meta.json`` and
+    ``report.json`` are read once; nothing else in ``out_dir`` is read."""
     out_dir = Path(out_dir)
-    inputs = _GridInputs(manifest) if inputs is None else inputs
-    groups: dict[tuple, tuple[dict, list]] = {}
-    missing = []
+    inputs = _GridInputs(manifest)
+    results, missing = [], []
     for cell in _grid_cells(manifest):
         try:
             done = _read_cell(out_dir / cell.cell_id, inputs.cell_hash(cell),
@@ -520,20 +540,28 @@ def aggregate_results(manifest: ExperimentManifest, out_dir,
             done = None
         if done is None:
             missing.append(cell.cell_id)
-            continue
-        scheme, reports = done
-        for lang, report in reports.items():
-            key = {"corpus": "", "mode": "", "target_lang": lang, **cell.key,
-                   "scheme": scheme, "speech_level": cell.level}
+        else:
+            results.append(CellResult(cell, False, *done))
+    return results, missing
+
+
+def aggregate_results(results) -> list[dict]:
+    """One row per (group, metric) over the cell results: mean, CI
+    half-width and n."""
+    groups: dict[tuple, tuple[dict, list]] = {}
+    for result in results:
+        for lang, report in result.reports.items():
+            key = {"corpus": "", "mode": "", "target_lang": lang, **result.cell.key,
+                   "scheme": result.scheme, "speech_level": result.cell.level}
             groups.setdefault(tuple(key.values()), (key, []))[1].append(
-                SeedRun(seed=cell.seed, report=report))
+                SeedRun(seed=result.cell.seed, report=report))
     rows = []
     for gkey in sorted(groups, key=repr):
         key, runs = groups[gkey]
         runs.sort(key=lambda run: run.seed)
-        rows += [{**key, "metric": metric, "cell": aggregate(runs, metric, allow_single=True)}
+        rows += [{**key, "metric": metric, "cell": aggregate(runs, metric)}
                  for metric in REPORTED_METRICS]
-    return rows, missing
+    return rows
 
 
 def write_rows_csv(rows, path) -> None:

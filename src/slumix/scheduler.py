@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import PlanError
 from .jsonio import read_json, write_json
+from .trainer_recipes import is_int, is_number
 
 SCHEMES = ("text_only", "direct", "curriculum")
 
@@ -71,6 +72,12 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise PlanError(f"unknown scheme {self.scheme!r} (expected one of {SCHEMES})")
+        for name in ("epochs", "seed", "n_speech"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise PlanError(f"{name} must be an integer (got {value!r})")
+        if not is_number(self.p):
+            raise PlanError(f"speech proportion must be a number (got {self.p!r})")
         if not 0 <= self.p <= 1:
             raise PlanError(f"speech proportion must be in [0, 1] (got {self.p})")
         if self.epochs < 1:

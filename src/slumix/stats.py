@@ -84,8 +84,9 @@ class AggregateCell:
         return self.mean + (self.half_width or 0.0)
 
 
-def aggregate(runs, metric: str, allow_single: bool = False) -> AggregateCell:
-    """Mean and 95% CI half-width of one metric across seed runs.
+def aggregate(runs, metric: str) -> AggregateCell:
+    """Mean and 95% CI half-width of one metric across seed runs; a single
+    run is reported mean-only.
 
     half_width = t_{0.975, n-1} * sample_sd / sqrt(n), with the sample
     standard deviation using the n-1 denominator.
@@ -95,8 +96,8 @@ def aggregate(runs, metric: str, allow_single: bool = False) -> AggregateCell:
     if len(set(seeds)) != len(seeds):
         raise StatsError("duplicate seeds in aggregation cell")
     n = len(runs)
-    if n < 2 and not (allow_single and n == 1):
-        raise StatsError(f"confidence interval undefined for n={n} (need >= 2 runs)")
+    if n == 0:
+        raise StatsError("no runs to aggregate (n=0)")
     values = [r.report.value(metric) for r in runs]
     mean = sum(values) / n
     if n == 1:

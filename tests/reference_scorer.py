@@ -51,16 +51,20 @@ def _label_spans(label):
 def ref_max_credit(gold_spans, pred_spans, credit_fn):
     """Maximum summed credit over every injective same-type pairing."""
     best = [0.0]
+    # Each same-type pair's credit, computed once; the walk sums them in its own order.
+    credit = {(gi, pi): credit_fn(gval, pval)
+              for pi, (ptype, pval) in enumerate(pred_spans)
+              for gi, (gtype, gval) in enumerate(gold_spans) if gtype == ptype}
 
     def walk(pi, used, acc):
         if pi == len(pred_spans):
             best[0] = max(best[0], acc)
             return
         walk(pi + 1, used, acc)  # leave this prediction unmatched
-        ptype, pval = pred_spans[pi]
-        for gi, (gtype, gval) in enumerate(gold_spans):
+        ptype = pred_spans[pi][0]
+        for gi, (gtype, _) in enumerate(gold_spans):
             if gtype == ptype and not used >> gi & 1:
-                walk(pi + 1, used | 1 << gi, acc + credit_fn(gval, pval))
+                walk(pi + 1, used | 1 << gi, acc + credit[gi, pi])
 
     walk(0, 0, 0.0)
     return best[0]

@@ -29,6 +29,7 @@ from slumix.grid import (
     load_manifest,
     manifest_from_dict,
     manifest_to_dict,
+    read_results,
     read_rows_csv,
     run_grid,
 )
@@ -131,6 +132,17 @@ class TestManifest:
             mini_manifest(syn_path, **{"schemes": ("direct",), "speech_levels": (0.1,),
                                        "seeds": (1,), **overrides})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("overrides", [
+        {"schemes": ()},
+        {"schemes": ("direct", "curriculum"), "speech_levels": ()},
+        {"crosslingual": CrossLingualSpec(source="syn", targets=(), modes=())},
+    ], ids=["no_scheme", "no_speech_level", "no_mode"])
+    def test_manifest_with_no_cell_rejected(self, syn_path, overrides):
+        with pytest.raises(ConfigError) as info:
+            mini_manifest(syn_path, **overrides)
+        assert str(info.value) == ("manifest enumerates no cell (check its schemes, "
+                                   "speech levels and cross-lingual modes)")
 
     @pytest.mark.parametrize("spec,message", [
         ({"modes": ("T", "Q")}, "unknown cross-lingual mode 'Q'"),
@@ -292,9 +304,9 @@ class TestCellIdentity:
         path = runs / "syn__direct__p0.1__s1" / name
         whole, aggregate_csv = path.read_bytes(), (runs / "aggregate.csv").read_bytes()
         path.write_text(json.dumps(damage(json.loads(whole))))
-        rows, missing = aggregate_results(manifest, runs)
+        results, missing = read_results(manifest, runs)
         assert missing == ["syn__direct__p0.1__s1"]
-        assert {r["cell"].n for r in rows if r["scheme"] == "direct"
+        assert {r["cell"].n for r in aggregate_results(results) if r["scheme"] == "direct"
                 and r["speech_level"] == 0.1} == {1}
         again = run_grid(manifest, runs)
         assert again.ok and (again.cells_run, again.cells_skipped) == (1, 9)
@@ -386,6 +398,30 @@ class TestCellIdentity:
             reads.clear()
             assert run_grid(manifest, tmp_path / "runs").cells_run == expected_run
             assert reads[str(syn_path)] == 1
+
+    def test_run_reads_each_cell_file_once(self, syn_path, tmp_path, monkeypatch):
+        # A run aggregates what its cells return: a fresh cell's reports are
+        # never read back, and a finished cell's files are read by its skip
+        # check only.
+        reads = Counter()
+        real = slumix.grid.read_json
+
+        def counted(path, *args):
+            reads[Path(path).name] += 1
+            return real(path, *args)
+
+        monkeypatch.setattr(slumix.grid, "read_json", counted)
+        manifest = mini_manifest(syn_path, schemes=("direct",), speech_levels=(0.1,),
+                                 seeds=(1,))
+        runs = tmp_path / "runs"
+        assert run_grid(manifest, runs).cells_run == 1
+        assert reads == {"meta.json": 1}  # the skip check, which finds none
+        reads.clear()
+        assert run_grid(manifest, runs).cells_skipped == 1
+        assert reads == {"meta.json": 1, "report.json": 1}
+        reads.clear()
+        assert read_results(manifest, runs)[1] == []
+        assert reads == {"meta.json": 1, "report.json": 1}
 
     def test_failure_records_traceback(self, tmp_path):
         outcome = run_grid(mini_manifest(tmp_path / "absent.jsonl", seeds=(1,)),
@@ -503,11 +539,34 @@ def test_crosslingual_report_missing_a_target_is_rerun(xl_setup, tmp_path):
     obj = json.loads(whole)
     del obj["per_target"]["ko"]
     report.write_text(json.dumps(obj))
-    assert aggregate_results(manifest, runs)[1] == ["xl__T__p0.1__s1"]
+    assert read_results(manifest, runs)[1] == ["xl__T__p0.1__s1"]
     outcome = run_grid(manifest, runs)
     assert outcome.ok and (outcome.cells_run, outcome.cells_skipped) == (1, 5)
     assert report.read_bytes() == whole
     assert (runs / "aggregate.csv").read_bytes() == (tmp / "runs" / "aggregate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["mono", "xl"])
+def test_fresh_run_resume_and_aggregate_command_write_the_same_csv(kind, syn_path, xl_setup,
+                                                                   tmp_path):
+    runs = tmp_path / "runs"
+    if kind == "mono":
+        manifest = mini_manifest(syn_path, speech_levels=(0.1,))
+        assert run_grid(manifest, runs).ok
+    else:
+        tmp, _ = xl_setup
+        manifest = xl_manifest(tmp)
+        shutil.copytree(tmp / "runs", runs)
+    fresh = (runs / "aggregate.csv").read_bytes()
+    (runs / "aggregate.csv").unlink()
+    resumed = run_grid(manifest, runs)
+    assert resumed.ok and resumed.cells_run == 0
+    assert (runs / "aggregate.csv").read_bytes() == fresh
+    manifest_path = tmp_path / "m.json"
+    manifest_path.write_text(json.dumps(manifest_to_dict(manifest)))
+    assert main(["aggregate", "--config", str(manifest_path), "--runs", str(runs),
+                 "--out", str(tmp_path / "agg.csv")]) == 0
+    assert (tmp_path / "agg.csv").read_bytes() == fresh
 
 
 class TestCli:
@@ -811,6 +870,23 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("schemes", []),
+        ("speech_levels", []),
+        ("crosslingual", {"source": "syn", "targets": [], "modes": []}),
+    ], ids=["no_scheme", "no_speech_level", "no_mode"])
+    def test_manifest_with_no_cell_exit_1(self, syn_path, tmp_path, capsys, field, value):
+        manifest = manifest_to_dict(mini_manifest(syn_path, schemes=("direct",)))
+        manifest[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: manifest enumerates no cell (check its schemes, speech levels and "
+            "cross-lingual modes)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value,message", [
         ("corpora", {"x": 5}, "corpus 'x' path is not a non-empty string (5)"),
         ("corpora", {"x": ""}, "corpus 'x' path is not a non-empty string ('')"),
@@ -857,6 +933,29 @@ class TestCli:
         assert main([command, "--plan", str(plan), *source, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "export-manifest"])
+    @pytest.mark.parametrize("field,value,message", [
+        *((field, value, f"{field} must be an integer (got {value!r})")
+          for field in ("seed", "epochs", "n_speech") for value in (4.5, True, "5")),
+        ("p", True, "speech proportion must be a number (got True)"),
+    ], ids=[f"{field}_{kind}" for field in ("seed", "epochs", "n_speech")
+            for kind in ("fractional", "bool", "string")] + ["p_bool"])
+    def test_plan_config_number_of_wrong_type_exit_1(self, syn_path, tmp_path, capsys,
+                                                     command, field, value, message):
+        plan = tmp_path / "plan.json"
+        assert main(["plan", "--scheme", "direct", "--p", "0.5", "--epochs", "2",
+                     "--seed", "4", "--corpus", str(syn_path), "--out", str(plan)]) == 0
+        obj = json.loads(plan.read_text())
+        obj["config"][field] = value
+        plan.write_text(json.dumps(obj))
+        capsys.readouterr()
+        source = (["--corpus", str(syn_path)] if command == "train"
+                  else ["--corpus-ref", str(syn_path)])
+        out = tmp_path / "out.json"
+        assert main([command, "--plan", str(plan), *source, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "export-manifest"])

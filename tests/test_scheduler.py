@@ -112,6 +112,21 @@ class TestBuildPlan:
         with pytest.raises(PlanError):
             SchedulerConfig(scheme="mixed", p=0.1, epochs=3, seed=0, n_speech=10)
 
+    @pytest.mark.parametrize("field,value,message", [
+        *((field, value, f"{field} must be an integer (got {value!r})")
+          for field in ("seed", "epochs", "n_speech") for value in (4.5, True, "5")),
+        ("p", True, "speech proportion must be a number (got True)"),
+        ("p", "0.5", "speech proportion must be a number (got '0.5')"),
+    ], ids=[f"{field}_{kind}" for field in ("seed", "epochs", "n_speech")
+            for kind in ("fractional", "bool", "string")] + ["p_bool", "p_string"])
+    def test_config_number_of_wrong_type_rejected(self, field, value, message):
+        # The one check a plan passes through, from `slumix plan`, a grid cell
+        # or a plan file: 4.5 would train the seed-4 plan, True one epoch.
+        fields = {"scheme": "direct", "p": 0.5, "epochs": 3, "seed": 4, "n_speech": 10}
+        with pytest.raises(PlanError) as info:
+            SchedulerConfig(**{**fields, field: value})
+        assert str(info.value) == message
+
 
 class TestEpochBatches:
     def test_chunking_keeps_short_tail(self):

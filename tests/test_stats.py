@@ -54,13 +54,13 @@ class TestAggregate:
         assert cell.mean == 3.0
         assert cell.half_width == pytest.approx(2.7764 * 1.5811 / math.sqrt(5), abs=1e-4)
 
-    def test_single_run_rejected(self):
-        with pytest.raises(StatsError, match="n=1"):
-            aggregate([run_with(1, 0.5)], "slu_f1")
-
     def test_single_run_allowed_when_asked(self):
-        cell = aggregate([run_with(1, 0.5)], "slu_f1", allow_single=True)
+        cell = aggregate([run_with(1, 0.5)], "slu_f1")
         assert (cell.mean, cell.half_width, cell.n) == (0.5, None, 1)
+
+    def test_no_run_rejected(self):
+        with pytest.raises(StatsError, match="n=0"):
+            aggregate([], "slu_f1")
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(StatsError, match="duplicate"):
