@@ -11,15 +11,19 @@ permutation per target language over its speech-paired training records, so
 the T and T+S variants use the same underlying sample and repeated builds
 with one seed are prefix-nested.
 
-Each combined record is rebuilt once, its id namespaced and, where the mode
-drops speech, its speech reference removed. The combined corpus is checked
-only for duplicate ids: combining changes nothing else of validated records.
+A combined corpus is a concatenation of parts: a corpus's train split (the
+source with its speech, a text-only corpus without) and a target's few-shot
+sample (with or without its speech). Each part's records are built as new
+``Utterance`` objects, their ids namespaced and, where the mode drops speech,
+their speech references removed. A ``CorpusParts`` store builds each part
+once and serves it to every later call that asks for it. The combined corpus
+is checked only for duplicate ids: combining changes nothing else of
+validated records.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .corpus import Corpus, Utterance, _check_ids_and_lang, filter_split
 from .errors import ConfigError
@@ -35,9 +39,29 @@ DEFAULT_FEWSHOT_PAIRS = 115
 
 
 def _namespaced(corpus_name: str, records, keep_speech: bool) -> list[Utterance]:
-    return [replace(r, id=f"{corpus_name}/{r.id}",
-                    speech_ref=r.speech_ref if keep_speech else None)
+    return [Utterance(f"{corpus_name}/{r.id}", r.lang, r.split, r.text, r.label,
+                      r.speech_ref if keep_speech else None)
             for r in records]
+
+
+class CorpusParts:
+    """The namespaced record lists of combined corpora, each built once: a
+    corpus's train split, and a target's few-shot sample per (pairs, seed,
+    speech kept). Parts are keyed by the corpus object and the store keeps
+    that object alive, so every ``make_crosslingual_corpus`` call given the
+    same corpora (a grid run loads each corpus once) shares them. Every part
+    is a pure function of its key, so a call's output is the same with or
+    without a store."""
+
+    def __init__(self):
+        self._parts: dict[tuple, tuple[Corpus, list[Utterance]]] = {}
+
+    def get(self, corpus: Corpus, key: tuple,
+            build: Callable[[], list[Utterance]]) -> list[Utterance]:
+        entry = self._parts.get((id(corpus), *key))
+        if entry is None:
+            entry = self._parts[(id(corpus), *key)] = (corpus, build())
+        return entry[1]
 
 
 def _fewshot_records(target: Corpus, fewshot_pairs: int, seed: int) -> list[Utterance]:
@@ -57,13 +81,14 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
                              massive_text: Union[Corpus, Sequence[Corpus], None] = None,
                              mode: str = "zero_shot",
                              fewshot_pairs: int = DEFAULT_FEWSHOT_PAIRS,
-                             seed: int = 0) -> Corpus:
+                             seed: int = 0, parts: Optional[CorpusParts] = None) -> Corpus:
     """Combined training corpus for one cross-lingual mode.
 
     Only train splits are taken; evaluation always runs against the target
     corpora's own test splits. Record ids are namespaced by corpus name so
     same-numbered ids across languages cannot collide. The inputs must be
-    validated corpora, as ``load_corpus`` returns them.
+    validated corpora, as ``load_corpus`` returns them. Parts come from
+    ``parts`` (a store of its own if None).
     """
     if mode not in CROSSLINGUAL_MODES:
         raise ConfigError(f"unknown cross-lingual mode {mode!r} "
@@ -85,16 +110,18 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
     if use_targets and not targets:
         raise ConfigError(f"mode {mode!r} requires target corpora")
 
+    parts = CorpusParts() if parts is None else parts
     records: list[Utterance] = []
     if use_source:
-        records += _namespaced(source.name, filter_split(source, "train").records,
-                               keep_speech=True)
+        records += parts.get(source, ("train", True), lambda: _namespaced(
+            source.name, filter_split(source, "train").records, keep_speech=True))
 
     if use_targets:
         for target in targets:
-            records += _namespaced(target.name,
-                                   _fewshot_records(target, fewshot_pairs, seed),
-                                   keep_speech=use_speech)
+            records += parts.get(target, ("fewshot", fewshot_pairs, seed, use_speech),
+                                 lambda: _namespaced(
+                                     target.name, _fewshot_records(target, fewshot_pairs, seed),
+                                     keep_speech=use_speech))
 
     if use_massive:
         if massive_text is None:
@@ -106,8 +133,8 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
             if extra is None:
                 raise ConfigError(
                     f"mode {mode!r}: no text-only corpus for target lang {target.lang!r}")
-            records += _namespaced(extra.name, filter_split(extra, "train").records,
-                                   keep_speech=False)
+            records += parts.get(extra, ("train", False), lambda: _namespaced(
+                extra.name, filter_split(extra, "train").records, keep_speech=False))
 
     combined = Corpus(name=f"xl-{mode}", lang="mul", records=records)
     _check_ids_and_lang(combined)

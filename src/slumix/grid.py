@@ -31,12 +31,18 @@ from typing import NamedTuple, Optional
 from .corpus import (
     Corpus,
     FileBytes,
+    Utterance,
     filter_split,
     load_corpus,
     speech_items,
     text_items,
 )
-from .crosslingual import CROSSLINGUAL_MODES, DEFAULT_FEWSHOT_PAIRS, make_crosslingual_corpus
+from .crosslingual import (
+    CROSSLINGUAL_MODES,
+    DEFAULT_FEWSHOT_PAIRS,
+    CorpusParts,
+    make_crosslingual_corpus,
+)
 from .errors import ConfigError, MetricsError, StatsError, TrainError
 from .jsonio import read_json, write_json
 from .labelcodec import parse_label, serialize_label
@@ -245,7 +251,7 @@ def predict_records(model, records, oracle_transcripts: bool = False,
     inputs from ``features`` (a store of its own if None)."""
     features = FeatureStore() if features is None else features
     sim = None if oracle_transcripts else model.sim
-    rows = [features.row(utt.text, sim if utt.has_speech else None) for utt in records]
+    rows = features.rows([(utt.text, utt.has_speech) for utt in records], sim)
     return [PredictionRecord(utt_id=utt.id, gold=utt.label, pred=pred)
             for utt, pred in zip(records, features.predict(model, rows))]
 
@@ -378,8 +384,11 @@ def _grid_cells(manifest: ExperimentManifest) -> list[_Cell]:
 class _GridInputs:
     """One run's inputs: each corpus file's bytes, read once, with their digest
     and the corpus parsed from them, each on first use; the settings every
-    cell hash covers; and one feature store that every cell of the run trains
-    and predicts from."""
+    cell hash covers; one feature store that every cell of the run trains
+    and predicts from; and, on a cross-lingual grid, the source restricted
+    to each (speech level, seed) and one store of the combined corpora's
+    parts. The caches capture locals, never ``self``, so a run's inputs are
+    freed when the run returns, without waiting for a garbage collection."""
 
     def __init__(self, manifest: ExperimentManifest):
         self.manifest = manifest
@@ -398,6 +407,11 @@ class _GridInputs:
         self.digest = functools.cache(
             lambda name: hashlib.sha256(contents(name).data).hexdigest())
         self.features = FeatureStore()
+        if xl is not None:
+            corpus = self.corpus
+            self.source = functools.cache(
+                lambda level, seed: _restrict_source_speech(corpus(xl.source), level, seed))
+            self.parts = CorpusParts()
 
     def cell_hash(self, cell: _Cell) -> str:
         """SHA-256 of exactly the inputs the cell's outputs depend on."""
@@ -459,7 +473,7 @@ def _restrict_source_speech(source: Corpus, level: float, seed: int) -> Corpus:
     records = []
     for r in source.records:
         if r.split == "train" and r.has_speech and r.id not in keep:
-            r = replace(r, speech_ref=None)
+            r = Utterance(r.id, r.lang, r.split, r.text, r.label)
         records.append(r)
     return Corpus(name=source.name, lang=source.lang, records=records)
 
@@ -468,12 +482,12 @@ def _run_xl_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Pat
                  mode: str, level: float, seed: int, cell: _Cell) -> CellResult:
     def build():
         xl = manifest.crosslingual
-        source = _restrict_source_speech(inputs.corpus(xl.source), level, seed)
         targets = [inputs.corpus(name) for name in xl.targets]
         massive = [inputs.corpus(name) for name in xl.massive]
         combined = make_crosslingual_corpus(
-            source, targets, massive or None, mode,
-            fewshot_pairs=xl.fewshot_pairs, seed=derive_seed(seed, "fewshot-selection"))
+            inputs.source(level, seed), targets, massive or None, mode,
+            fewshot_pairs=xl.fewshot_pairs, seed=derive_seed(seed, "fewshot-selection"),
+            parts=inputs.parts)
         scheme = "curriculum" if any(r.has_speech for r in combined.records) else "text_only"
         # All speech surviving the source-level restriction is used every epoch.
         return combined, scheme, 1.0, targets

@@ -210,4 +210,11 @@ def save_plan(plan: MixPlan, path) -> None:
 
 
 def load_plan(path) -> MixPlan:
-    return read_json(path, PlanError, "plan", plan_from_dict)
+    """The plan a plan file holds; every error, a broken scheduler rule
+    included, names the file."""
+    def build(obj):
+        try:
+            return plan_from_dict(obj)
+        except PlanError as exc:
+            raise PlanError(f"{path}: {exc}") from exc
+    return read_json(path, PlanError, "plan", build)

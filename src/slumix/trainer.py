@@ -8,6 +8,13 @@ metrics end to end with bit-for-bit determinism, not to approximate a real
 audio LM; the real-model settings (optimizer, precision, beams, frozen
 modules) travel only in the exported manifest.
 
+A model holds its weights as one dense matrix, a row per hashed feature it
+was trained on (``features``, ascending) and a column per class (``classes``,
+ascending), as ``model.json`` stores them. Training and prediction run whole
+batches through flat-index numpy kernels whose float sums follow the
+per-item loops of ``tests/reference_trainer.py``, so both give the loops'
+results bit for bit.
+
 Speech inputs are simulated by a seeded per-token corruption of the
 transcript (substitution/deletion), so speech items contribute systematically
 noisier features than their text counterparts.
@@ -19,7 +26,7 @@ import base64
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -84,11 +91,15 @@ def hashed_features(tokens: Sequence[str]) -> dict[int, float]:
 
 @dataclass
 class ModelState:
-    """Learned state: intent weights, filler lexicon, training trace and speech simulation."""
+    """Learned state: intent weights, filler lexicon, training trace and speech simulation.
+
+    ``features`` holds the hashed features with a weight row, ascending, and
+    ``weights`` their rows, one column per class."""
 
     classes: tuple[tuple[str, str], ...] = ()
     bias: Optional[np.ndarray] = None
-    weights: dict[int, np.ndarray] = field(default_factory=dict)
+    features: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    weights: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     filler_lexicon: dict[str, dict[str, int]] = field(default_factory=dict)
     prior_intent: Optional[tuple[str, str]] = None
     train_log: list[dict] = field(default_factory=list)
@@ -103,93 +114,123 @@ def _best_etype(counts: dict[str, int]) -> str:
     return min(counts, key=lambda t: (-counts[t], t))
 
 
-def _lexicon_index(lexicon) -> tuple[dict[tuple[str, ...], str], int]:
-    index = {}
-    max_len = 0
+def _lexicon_index(lexicon) -> tuple[dict[tuple[str, ...], Entity], dict[str, int]]:
+    """Each filler's token tuple -> the entity it is predicted as (its best
+    entity type), and each first token -> the most tokens of a filler it
+    starts."""
+    index: dict[tuple[str, ...], Entity] = {}
+    longest: dict[str, int] = {}
     for filler, counts in lexicon.items():
         toks = tuple(tokenize(filler))
         if not toks:
             continue
-        index[toks] = _best_etype(counts)
-        max_len = max(max_len, len(toks))
-    return index, max_len
+        index[toks] = Entity(etype=_best_etype(counts), filler=" ".join(toks))
+        longest[toks[0]] = max(longest.get(toks[0], 0), len(toks))
+    return index, longest
+
+
+def _fillers(tokens: tuple[str, ...], index: dict[tuple[str, ...], Entity],
+             longest: dict[str, int]) -> tuple[Entity, ...]:
+    """Longest-match scan of the tokens against the lexicon index, left to
+    right, non-overlapping."""
+    entities = []
+    i, n = 0, len(tokens)
+    while i < n:
+        for length in range(min(longest.get(tokens[i], 0), n - i), 0, -1):
+            entity = index.get(tokens[i:i + length])
+            if entity is not None:
+                entities.append(entity)
+                i += length
+                break
+        else:
+            i += 1
+    return tuple(entities)
+
+
+_PREDICT_ROWS = 256  # rows scored per matrix step, bounding its index arrays
 
 
 class FeatureStore:
     """Tokens and hashed feature row of each distinct ``(text, sim)`` input,
     built once: ``sim`` is None for a transcript and the ``SpeechSimConfig``
-    for simulated speech. ``row(text, sim)`` returns the input's row number;
+    for simulated speech. ``rows`` returns the row numbers of inputs;
     ``tokens``, ``indices`` and ``counts`` hold each row, its features in
     ``hashed_features`` order. ``phase1_states`` holds the state ``train``
-    reaches after curriculum's last phase-1 epoch (bias, the weight rows of
-    the features seen so far, and the phase-1 training log), keyed by what
+    reaches after curriculum's last phase-1 epoch (the bias and the weights
+    of the features seen so far, and the phase-1 training log), keyed by what
     it is computed from, store rows included. One store may serve any number
     of ``train`` and ``predict_records`` calls, since every row and state is
     a pure function of its key; a grid run shares one."""
 
     def __init__(self):
-        self._rows: dict[tuple[str, Optional[SpeechSimConfig]], int] = {}
+        self._rows: dict[Optional[SpeechSimConfig], dict[str, int]] = {}
         self.tokens: list[tuple[str, ...]] = []
         self.indices: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
-        self.phase1_states: dict[tuple, tuple[np.ndarray, np.ndarray, list[dict]]] = {}
+        self.phase1_states: dict[tuple, tuple[np.ndarray, list[dict]]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
 
+    def rows(self, inputs: Iterable[tuple[str, bool]],
+             sim: Optional[SpeechSimConfig]) -> list[int]:
+        """The row number of each ``(text, spoken)`` input: a spoken one is
+        simulated under ``sim`` (read as a transcript if ``sim`` is None)."""
+        tables = (self._rows.setdefault(None, {}), self._rows.setdefault(sim, {}))
+        out = []
+        for text, spoken in inputs:
+            table = tables[spoken]
+            k = table.get(text)
+            if k is None:
+                k = table[text] = len(self.tokens)
+                tokens = (simulate_speech(text, sim) if spoken and sim is not None
+                          else tokenize(text))
+                feats = hashed_features(tokens)
+                self.tokens.append(tuple(tokens))
+                self.indices.append(np.fromiter(feats, dtype=np.int64, count=len(feats)))
+                self.counts.append(np.fromiter(feats.values(), dtype=np.float64,
+                                               count=len(feats)))
+            out.append(k)
+        return out
+
     def row(self, text: str, sim: Optional[SpeechSimConfig]) -> int:
-        k = self._rows.get((text, sim))
-        if k is None:
-            k = self._rows[(text, sim)] = len(self.tokens)
-            tokens = tokenize(text) if sim is None else simulate_speech(text, sim)
-            feats = hashed_features(tokens)
-            self.tokens.append(tuple(tokens))
-            self.indices.append(np.fromiter(feats, dtype=np.int64, count=len(feats)))
-            self.counts.append(np.fromiter(feats.values(), dtype=np.float64,
-                                           count=len(feats)))
-        return k
+        """The row number of ``text`` simulated under ``sim`` (None: the transcript)."""
+        return self.rows(((text, True),), sim)[0]
 
     def predict(self, model: ModelState, rows: Sequence[int]) -> list[SemanticLabel]:
         """The model's label for each row: intent by argmax over the linear
-        model; entities by longest-match scan of the row's tokens against the
-        learned filler lexicon (left to right, non-overlapping). An untrained
-        model gives unparseable labels."""
+        model (a row without features takes ``prior_intent``); entities by
+        longest-match scan of the row's tokens against the learned filler
+        lexicon. An untrained model gives unparseable labels.
+
+        Each row's logits are its bias plus its known features' weight rows
+        scaled by their counts, summed in the row's feature order, and the
+        first of equal top logits wins: ``classes`` is sorted, so that is the
+        least class."""
         if not model.trained:
             return [UNPARSEABLE] * len(rows)
-        index, max_len = _lexicon_index(model.filler_lexicon)
-        return [_predict(model, self.tokens[k], self.indices[k].tolist(),
-                         self.counts[k].tolist(), index, max_len) for k in rows]
-
-
-def _predict(model: ModelState, tokens: Sequence[str], indices: list[int],
-             counts: list[float], index: dict[tuple[str, ...], str],
-             max_len: int) -> SemanticLabel:
-    if not indices:
-        scenario, action = model.prior_intent
-        return SemanticLabel(scenario=scenario, action=action, entities=())
-    logits = model.bias.copy()
-    for idx, count in zip(indices, counts):
-        w = model.weights.get(idx)
-        if w is not None:
-            logits += count * w
-    best = logits.max()
-    winner = min(c for c, l in zip(model.classes, logits) if l == best)
-
-    entities = []
-    i, n = 0, len(tokens)
-    while i < n:
-        hit = None
-        for length in range(min(max_len, n - i), 0, -1):
-            span = tuple(tokens[i:i + length])
-            if span in index:
-                hit = (index[span], " ".join(span), length)
-                break
-        if hit is None:
-            i += 1
-        else:
-            entities.append(Entity(etype=hit[0], filler=hit[1]))
-            i += hit[2]
-    return SemanticLabel(scenario=winner[0], action=winner[1], entities=tuple(entities))
+        index, longest = _lexicon_index(model.filler_lexicon)
+        classes, n_classes = model.classes, len(model.classes)
+        class_cols = np.arange(n_classes)
+        labels = []
+        for start in range(0, len(rows), _PREDICT_ROWS):
+            chunk = rows[start:start + _PREDICT_ROWS]
+            lens = [len(self.indices[k]) for k in chunk]
+            hashed = np.concatenate([self.indices[k] for k in chunk])
+            counts = np.concatenate([self.counts[k] for k in chunk])
+            at = np.searchsorted(model.features, hashed)
+            # -1 past the last feature matches no hashed feature
+            known = np.append(model.features, -1)[at] == hashed
+            entry_rows = np.repeat(np.arange(len(chunk)), lens)[known]
+            logits = np.tile(model.bias, len(chunk))
+            np.add.at(logits, (entry_rows[:, None] * n_classes + class_cols).ravel(),
+                      (counts[known, None] * model.weights[at[known]]).ravel())
+            winners = logits.reshape(len(chunk), n_classes).argmax(axis=1).tolist()
+            for k, n, winner in zip(chunk, lens, winners):
+                scenario, action = classes[winner] if n else model.prior_intent
+                labels.append(SemanticLabel(scenario=scenario, action=action,
+                                            entities=_fillers(self.tokens[k], index, longest)))
+        return labels
 
 
 def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
@@ -204,10 +245,15 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     one row per distinct (text, sim) input: a transcript is keyed by its text
     and None, a speech item by its text and ``sim``. A store shared across
     calls simulates and hashes each input once per run; without one, the call
-    builds its own. Each batch is one matrix step whose float sums run in the
-    order of the per-item loop in ``tests/reference_trainer.py``, and the
-    feature columns are ranked by first occurrence in the item stream, so the
-    model is the same bit for bit.
+    builds its own.
+
+    The weights are one dense matrix whose row 0 is the bias and whose other
+    rows are the hashed features ranked by first occurrence in the item
+    stream, so a batch's new features take the next rows. Each batch is one
+    matrix step: its logits are one flat ``np.add.at`` and its gradient one
+    ``np.bincount`` over the rows touched so far, whose float sums run in the
+    order of the per-item loop in ``tests/reference_trainer.py``, so the model
+    is the same bit for bit.
 
     When a phase-2 epoch follows phase 1 (curriculum), the state after the
     last phase-1 epoch also goes into the store, keyed by all it is computed
@@ -215,165 +261,174 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     phase-1 item's store row and target. A later call whose phase 1 has the
     same key, such as curriculum at another speech level of the same corpus
     and seed, starts from that state at phase 2. Phase-1 features take the
-    lowest columns, so the cached weight rows fit any later call's matrix.
+    lowest rows, so the cached weight rows fit any later call's matrix.
     """
     features = FeatureStore() if features is None else features
     by_id = corpus.by_id()
     all_batches = [epoch_batches(plan, e, recipe.batch_size, plan.config.seed)
                    for e in range(1, plan.config.epochs + 1)]
-    if not any(batch for epoch in all_batches for batch in epoch):
+    flat = [key for epoch in all_batches for batch in epoch for key in batch]
+    if not flat:
         raise TrainError("plan contains no training items")
 
-    keys: dict[tuple[str, str], int] = {}  # (item id, modality) -> k, in first-use order
-    labels: list[SemanticLabel] = []
-    rows: list[int] = []  # store row of each k
-    stream: list[int] = []  # k of each item, in stream order
-    batch_lens: list[int] = []  # items of each batch, in stream order
-    for epoch in all_batches:
-        for batch in epoch:
-            for key in batch:
-                k = keys.get(key)
-                if k is None:
-                    item_id, modality = key
-                    utt = by_id.get(item_id)
-                    if utt is None:
-                        raise TrainError(f"plan item {item_id!r} not found in corpus")
-                    k = keys[key] = len(labels)
-                    labels.append(utt.label)
-                    rows.append(features.row(utt.text, sim if modality == "speech" else None))
-                stream.append(k)
-            batch_lens.append(len(batch))
-    stream = np.array(stream)
+    # k numbers the distinct (item id, modality) keys in first-use order.
+    keys = dict.fromkeys(flat)
+    utts = []
+    for k, key in enumerate(keys):
+        utt = by_id.get(key[0])
+        if utt is None:
+            raise TrainError(f"plan item {key[0]!r} not found in corpus")
+        utts.append(utt)
+        keys[key] = k
+    stream = np.fromiter(map(keys.__getitem__, flat), dtype=np.intp, count=len(flat))
+    spoken = [modality == "speech" for _, modality in keys]
+    rows = features.rows(zip([utt.text for utt in utts], spoken), sim)
 
     # Counts scaled by each key's multiplicity are the stream's integer sums,
     # and keys in k order touch fillers and entity types in the stream's order.
-    multiplicity = np.bincount(stream, minlength=len(labels))
+    multiplicity = np.bincount(stream, minlength=len(utts)).tolist()
+    intents = [utt.label.intent for utt in utts]
     lexicon: dict[str, dict[str, int]] = {}
     intent_counts: dict[tuple[str, str], int] = {}
-    for label, m in zip(labels, multiplicity.tolist()):
-        intent_counts[label.intent] = intent_counts.get(label.intent, 0) + m
-        for ent in label.entities:
+    for utt, intent, m in zip(utts, intents, multiplicity):
+        intent_counts[intent] = intent_counts.get(intent, 0) + m
+        for ent in utt.label.entities:
             slots = lexicon.setdefault(ent.filler, {})
             slots[ent.etype] = slots.get(ent.etype, 0) + m
 
-    # Columns of the weight matrix are the hashed features ranked by first
-    # occurrence in the rows of keys 0, 1, ..., the order in which the stream
-    # first touches them, so a batch's new features have the highest columns.
-    lens = np.array([len(features.indices[r]) for r in rows])
-    indptr = np.concatenate(([0], np.cumsum(lens)))
+    # Row 0 of the weight matrix is the bias, which each item reads first
+    # with count 1; rows 1, 2, ... are the hashed features ranked by first
+    # occurrence in the store rows of keys 0, 1, ..., the order in which the
+    # stream first touches them, so a batch's new features have the highest rows.
+    lens = np.array([len(features.indices[r]) for r in rows], dtype=np.intp)
     hashed = np.concatenate([features.indices[r] for r in rows])
-    counts = np.concatenate([features.counts[r] for r in rows])
-    distinct, first_at, inverse = np.unique(hashed, return_index=True, return_inverse=True)
+    distinct, inverse = np.unique(hashed, return_inverse=True)
+    first_at = np.full(len(distinct), len(hashed))
+    np.minimum.at(first_at, inverse, np.arange(len(hashed)))
     by_first = np.argsort(first_at)
     rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    cols = rank[inverse]
-    vocab = distinct[by_first].tolist()  # column -> hashed feature
+    rank[by_first] = np.arange(1, len(distinct) + 1)
+    vocab = distinct[by_first]  # weight row - 1 -> hashed feature
+    # Key k's entries, its bias first: weight rows key_feats[indptr[k]:indptr[k + 1]]
+    # read with counts key_counts[indptr[k]:indptr[k + 1]].
+    indptr = np.concatenate(([0], np.cumsum(lens + 1)))
+    is_feature = np.ones(indptr[-1], dtype=bool)
+    is_feature[indptr[:-1]] = False
+    key_feats = np.zeros(indptr[-1], dtype=np.intp)
+    key_feats[is_feature] = rank[inverse]
+    key_counts = np.ones(indptr[-1])
+    key_counts[is_feature] = np.concatenate([features.counts[r] for r in rows])
 
-    classes = tuple(sorted({label.intent for label in labels}))
-    targets = np.array([classes.index(label.intent) for label in labels])
+    classes = tuple(sorted(intent_counts))
+    class_of = {c: i for i, c in enumerate(classes)}
+    targets = np.array([class_of[intent] for intent in intents], dtype=np.intp)
     n_classes = len(classes)
-    model = ModelState(classes=classes, bias=np.zeros(n_classes), filler_lexicon=lexicon,
-                       prior_intent=min(intent_counts, key=lambda c: (-intent_counts[c], c)),
-                       sim=sim)
 
     # Each phase runs its own warmup+decay over its own step span.
     phase_of_epoch = epoch_phases(plan.config.scheme, plan.config.epochs)
+    epoch_lens = [len(epoch) for epoch in all_batches]
     phase_steps = {1: 0, 2: 0}
-    for e0, epoch in enumerate(all_batches):
-        phase_steps[phase_of_epoch[e0]] += len(epoch)
+    for phase, n_batches in zip(phase_of_epoch, epoch_lens):
+        phase_steps[phase] += n_batches
+    batch_lens = [len(batch) for epoch in all_batches for batch in epoch]
+    epoch_items = [sum(len(batch) for batch in epoch) for epoch in all_batches]
+    item_at = np.cumsum([0] + epoch_items).tolist()
+    speech_at = np.concatenate(([0], np.cumsum(np.array(spoken, dtype=np.intp)[stream])))
+    epoch_speech = np.diff(speech_at[item_at]).tolist()
 
-    weights = np.zeros((len(vocab), n_classes))
-    touched = 0  # feature rows below this have had an update
+    weights = np.zeros((len(vocab) + 1, n_classes))
+    touched = 1  # weight rows below this have had an update
+    train_log: list[dict] = []
     step_in_phase = {1: 0, 2: 0}
     start = skip = 0  # first epoch and first batch to run
     split = phase_of_epoch.index(2) if 2 in phase_of_epoch else None
     if split is not None:
-        phase1_batches = sum(len(epoch) for epoch in all_batches[:split])
-        phase1 = stream[:sum(batch_lens[:phase1_batches])]
+        phase1 = stream[:item_at[split]]
         phase1_key = (classes, recipe,
                       tuple(tuple(map(len, epoch)) for epoch in all_batches[:split]),
                       np.array(rows)[phase1].tobytes(), targets[phase1].tobytes())
         cached = features.phase1_states.get(phase1_key)
         if cached is not None:
-            bias, touched_rows, log = cached
-            model.bias = bias.copy()
+            touched_rows, log = cached
             touched = len(touched_rows)
             weights[:touched] = touched_rows
-            model.train_log = [dict(rec) for rec in log]
+            train_log = [dict(rec) for rec in log]
             step_in_phase[1] = phase_steps[1]
-            start, skip = split, phase1_batches
+            start, skip = split, sum(epoch_lens[:split])
 
-    # Index arrays of every batch to run, built in one pass: run batch j holds
-    # items item_at[j]:item_at[j+1], their feature entries
-    # entry_at[j]:entry_at[j+1] and its distinct columns uniq_at[j]:uniq_at[j+1].
-    n_cols = len(vocab)
-    run_lens = np.array(batch_lens[skip:], dtype=np.int64)
-    run_keys = stream[sum(batch_lens[:skip]):]
-    item_at = np.concatenate(([0], np.cumsum(run_lens)))
-    item_batch = np.repeat(np.arange(len(run_lens)), run_lens)
-    item_row = np.arange(len(run_keys)) - item_at[item_batch]  # row within its batch
+    # Flat index arrays of the items and entries still to run, in stream
+    # order: run batch j holds items batch_at[j]:batch_at[j+1] and entries
+    # entry_at[j]:entry_at[j+1], and once it has run the weight rows below
+    # hi_at[j] have had an update.
+    run_keys = stream[item_at[start]:]
+    run_lens = batch_lens[skip:]
+    batch_at = np.cumsum([0] + run_lens)
+    item_row = np.arange(len(run_keys)) - np.repeat(batch_at[:-1], run_lens)
     item_targets = targets[run_keys]
-    item_lens = indptr[run_keys + 1] - indptr[run_keys]
+    target_at = item_row * n_classes + item_targets  # in the batch's flat logits
+    item_lens = lens[run_keys] + 1
     entry_start = np.concatenate(([0], np.cumsum(item_lens)))
-    # positions in cols/counts of the items' entries, in item order
     entries = np.arange(entry_start[-1]) + np.repeat(indptr[run_keys] - entry_start[:-1],
                                                      item_lens)
-    entry_row = np.repeat(item_row, item_lens)
-    entry_batch = np.repeat(item_batch, item_lens)
-    entry_cols = cols[entries]
-    entry_counts = counts[entries, None]
-    uniq, uniq_inverse = np.unique(entry_batch * n_cols + entry_cols, return_inverse=True)
-    uniq_at = np.searchsorted(uniq, np.arange(len(run_lens) + 1) * n_cols)
-    uniq_inverse -= uniq_at[entry_batch]  # index into the batch's own distinct columns
-    uniq %= max(n_cols, 1)  # each batch's columns, ascending within it
-    entry_at = entry_start[item_at].tolist()
-    item_at, uniq_at = item_at.tolist(), uniq_at.tolist()
+    entry_rows = np.repeat(item_row, item_lens)
+    entry_feats = key_feats[entries]
+    entry_counts = key_counts[entries, None]
+    entry_at = entry_start[batch_at]
+    hi_at = np.maximum(np.maximum.accumulate(entry_feats)[entry_at[1:] - 1] + 1,
+                       touched).tolist()
+    entry_at, batch_at = entry_at.tolist(), batch_at.tolist()
+    logit_at = entry_rows * n_classes  # first flat logit of each entry
+    grad_at = entry_feats * n_classes  # first flat gradient of each entry
+    class_cols = np.arange(n_classes)
+    predicted = np.empty(len(run_keys), dtype=np.intp)
+    log = math.log
 
     j = 0
     for e0 in range(start, len(all_batches)):
         phase = phase_of_epoch[e0]
-        n_items = sum(len(batch) for batch in all_batches[e0])
-        n_speech = sum(modality == "speech" for batch in all_batches[e0] for _, modality in batch)
         loss_sum = 0.0
-        hits = 0
-        for _ in all_batches[e0]:
+        for _ in range(epoch_lens[e0]):
             lr = lr_at(recipe, step_in_phase[phase], phase_steps[phase], phase)
             step_in_phase[phase] += 1
-            i0, i1 = item_at[j], item_at[j + 1]
+            i0, i1 = batch_at[j], batch_at[j + 1]
             n0, n1 = entry_at[j], entry_at[j + 1]
-            batch_rows = item_row[i0:i1]
-            batch_targets = item_targets[i0:i1]
-            batch_entry_rows = entry_row[n0:n1]
+            n_items, hi = i1 - i0, hi_at[j]
             batch_counts = entry_counts[n0:n1]
+            batch_targets = target_at[i0:i1]
 
-            # np.add.at applies entries in order: bias, then each feature in
-            # item order, as the per-item sum does.
-            logits = np.tile(model.bias, (i1 - i0, 1))
-            np.add.at(logits, batch_entry_rows, batch_counts * weights[entry_cols[n0:n1]])
+            # np.add.at applies entries in order: each item's bias, then its
+            # features, as the per-item sum does.
+            terms = weights.take(entry_feats[n0:n1], axis=0)
+            terms *= batch_counts
+            logits = np.zeros(n_items * n_classes)
+            np.add.at(logits, (logit_at[n0:n1, None] + class_cols).ravel(), terms.ravel())
+            logits = logits.reshape(n_items, n_classes)
             logits -= logits.max(axis=1, keepdims=True)
-            probs = np.exp(logits)
+            predicted[i0:i1] = logits.argmax(axis=1)
+            probs = np.exp(logits, out=logits)
             probs /= probs.sum(axis=1, keepdims=True)
-            for p in probs[batch_rows, batch_targets].tolist():
-                loss_sum += -math.log(max(p, 1e-300))
-            hits += int((logits.argmax(axis=1) == batch_targets).sum())
+            flat_probs = probs.ravel()
+            for p in np.maximum(flat_probs[batch_targets], 1e-300).tolist():
+                loss_sum -= log(p)
+            flat_probs[batch_targets] -= 1.0  # probs now holds d loss / d logits
 
-            dlogits = probs
-            dlogits[batch_rows, batch_targets] -= 1.0
-            batch_uniq = uniq[uniq_at[j]:uniq_at[j + 1]]
-            grad = np.zeros((len(batch_uniq), n_classes))
-            np.add.at(grad, uniq_inverse[n0:n1], batch_counts * dlogits[batch_entry_rows])
-            scale = lr / (i1 - i0)
-            # cumsum adds the rows one by one in item order; sum may pair them
-            model.bias -= scale * np.cumsum(dlogits, axis=0)[-1]
+            # bincount adds each weight row's entries in item order, as the
+            # per-item gradient does; the rows the batch skips stay 0.
+            terms = probs.take(entry_rows[n0:n1], axis=0)
+            terms *= batch_counts
+            grad = np.bincount((grad_at[n0:n1, None] + class_cols).ravel(), terms.ravel(),
+                               hi * n_classes).reshape(hi, n_classes)
+            grad *= lr / n_items
+            weights[:touched] -= grad[:touched]
             # A feature's first update sets it to -scale * g, keeping the sign
             # of zero that the per-item dict of weights would store.
-            first = np.searchsorted(batch_uniq, touched)
-            weights[batch_uniq[:first]] -= scale * grad[:first]
-            weights[batch_uniq[first:]] = -scale * grad[first:]
-            touched += len(batch_uniq) - first
+            np.negative(grad[touched:], out=weights[touched:hi])
+            touched = hi
             j += 1
-        model.train_log.append({
+        n_items, n_speech = epoch_items[e0], epoch_speech[e0]
+        i0, i1 = item_at[e0] - item_at[start], item_at[e0 + 1] - item_at[start]
+        hits = int(np.count_nonzero(predicted[i0:i1] == item_targets[i0:i1]))
+        train_log.append({
             "epoch": e0 + 1,
             "text_items": n_items - n_speech,
             "speech_items": n_speech,
@@ -381,13 +436,16 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             "train_intent_accuracy": hits / n_items if n_items else 0.0,
         })
         if e0 + 1 == split:
-            features.phase1_states[phase1_key] = (
-                model.bias.copy(), weights[:touched].copy(),
-                [dict(rec) for rec in model.train_log])
-    model.weights = {idx: weights[col] for col, idx in enumerate(vocab)}
+            features.phase1_states[phase1_key] = (weights[:touched].copy(),
+                                                  [dict(rec) for rec in train_log])
+    order = np.argsort(vocab)
+    model = ModelState(classes=classes, bias=weights[0].copy(), features=vocab[order],
+                       weights=weights[1:][order], filler_lexicon=lexicon,
+                       prior_intent=min(intent_counts, key=lambda c: (-intent_counts[c], c)),
+                       train_log=train_log, sim=sim)
 
     totals = plan_totals(plan)
-    logged = [(rec["text_items"], rec["speech_items"]) for rec in model.train_log]
+    logged = [(rec["text_items"], rec["speech_items"]) for rec in train_log]
     planned = list(zip(totals["per_epoch_text"], totals["per_epoch_speech"]))
     if logged != planned:
         raise TrainError(f"consumed item counts {logged} diverged from the plan {planned}")
@@ -403,17 +461,14 @@ def _unb64(blob: str, shape) -> np.ndarray:
 
 
 def model_to_dict(model: ModelState) -> dict:
-    features = sorted(model.weights)
-    stacked = (np.stack([model.weights[f] for f in features])
-               if features else np.zeros((0, len(model.classes))))
     return {
         "kind": "model_state",
         "model_version": 1,
         "feature_dim": FEATURE_DIM,
         "classes": [list(c) for c in model.classes],
         "bias": None if model.bias is None else _b64(model.bias),
-        "features": features,
-        "weights": _b64(stacked),
+        "features": model.features.tolist(),
+        "weights": _b64(model.weights),
         "filler_lexicon": model.filler_lexicon,
         "prior_intent": None if model.prior_intent is None else list(model.prior_intent),
         "train_log": model.train_log,
@@ -440,17 +495,35 @@ def sim_from_dict(obj, where: str, seeded: bool = True) -> SpeechSimConfig:
 
 
 def model_from_dict(obj: dict, where: str = "model") -> ModelState:
-    """The model an object holds; errors name ``where``, the model's place."""
+    """The model an object holds; errors name ``where``, the model's place.
+
+    ``classes`` must be strictly increasing pairs of strings (the first of
+    equal top logits is then the least class), with a bias exactly when there
+    are any, and ``features`` strictly increasing integers in the hashed
+    feature space, one per weight row."""
     if obj["feature_dim"] != FEATURE_DIM:
         raise TrainError(f"{where} was trained on {obj['feature_dim']} hashed features, "
                          f"not {FEATURE_DIM}")
+    if not all(isinstance(c, list) and len(c) == 2 and all(isinstance(s, str) for s in c)
+               for c in obj["classes"]):
+        raise ValueError("classes are not pairs of strings")
     classes = tuple(tuple(c) for c in obj["classes"])
+    if any(a >= b for a, b in zip(classes, classes[1:])):
+        raise ValueError("classes are not strictly increasing")
+    if (obj["bias"] is None) != (not classes):
+        raise ValueError("a model has a bias exactly when it has classes")
     features = obj["features"]
-    stacked = _unb64(obj["weights"], (len(features), len(classes)))
+    if not (isinstance(features, list)
+            and all(type(f) is int and 0 <= f < FEATURE_DIM for f in features)):
+        raise ValueError(f"features are not integers in [0, {FEATURE_DIM})")
+    features = np.array(features, dtype=np.int64)
+    if np.any(features[1:] <= features[:-1]):
+        raise ValueError("features are not strictly increasing")
     return ModelState(
         classes=classes,
         bias=None if obj["bias"] is None else _unb64(obj["bias"], (len(classes),)),
-        weights={f: stacked[i] for i, f in enumerate(features)},
+        features=features,
+        weights=_unb64(obj["weights"], (len(features), len(classes))),
         filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
         prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
         train_log=list(obj["train_log"]),

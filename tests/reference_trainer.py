@@ -1,17 +1,20 @@
-"""Per-item training loop used as the oracle in trainer tests.
+"""Per-item training and prediction loops used as oracles in trainer tests.
 
 This is the reference learner's original implementation: one Python pass
 per consumed item, re-normalising its label and re-simulating its speech
-every time, with dict-of-vectors weights. The package's batched ``train``
-must produce the same model bit for bit; ``tests/test_trainer_oracle.py``
+every time, with dict-of-vectors weights, and one Python pass per predicted
+row. The package's batched ``train`` and ``FeatureStore.predict`` must give
+the same model bit for bit and the same labels; ``tests/test_trainer_oracle.py``
 checks that. Shared with the package only through the feature hashing, the
-speech simulator, the plan's batching and the LR schedule.
+speech simulator, the plan's batching, the LR schedule and the model's
+fields.
 """
 
 import math
 
 import numpy as np
 
+from slumix.corpus import UNPARSEABLE, Entity, SemanticLabel
 from slumix.errors import TrainError
 from slumix.scheduler import epoch_batches, plan_totals
 from slumix.trainer import ModelState, hashed_features, simulate_speech, tokenize
@@ -43,6 +46,7 @@ def train(plan, corpus, recipe, sim):
     class_idx = {c: k for k, c in enumerate(classes)}
     n_classes = len(classes)
     model = ModelState(classes=classes, bias=np.zeros(n_classes), sim=sim)
+    weights = {}
 
     # Phase 2 (curriculum only) covers the final epoch; each phase runs its
     # own warmup+decay over its own step span.
@@ -82,7 +86,7 @@ def train(plan, corpus, recipe, sim):
                 feats = hashed_features(_item_tokens(utt, modality, sim))
                 logits = model.bias.copy()
                 for idx, count in feats.items():
-                    w = model.weights.get(idx)
+                    w = weights.get(idx)
                     if w is not None:
                         logits += count * w
                 logits -= logits.max()
@@ -104,9 +108,9 @@ def train(plan, corpus, recipe, sim):
             scale = lr / len(batch)
             model.bias -= scale * grad_bias
             for idx, g in grad.items():
-                w = model.weights.get(idx)
+                w = weights.get(idx)
                 if w is None:
-                    model.weights[idx] = -scale * g
+                    weights[idx] = -scale * g
                 else:
                     w -= scale * g
         model.train_log.append({
@@ -124,4 +128,54 @@ def train(plan, corpus, recipe, sim):
     logged = [(rec["text_items"], rec["speech_items"]) for rec in model.train_log]
     planned = list(zip(totals["per_epoch_text"], totals["per_epoch_speech"]))
     assert logged == planned, "consumed item counts diverged from the plan"
+    features = sorted(weights)
+    model.features = np.array(features, dtype=np.int64)
+    model.weights = (np.stack([weights[f] for f in features]) if features
+                     else np.zeros((0, n_classes)))
     return model
+
+
+def predict(model, tokens):
+    """The model's label for one input, given as its tokens.
+
+    Intent by argmax over the linear model (the least of tied classes; the
+    prior intent if the input has no features); entities by longest-match
+    scan of the tokens against the learned filler lexicon, left to right,
+    non-overlapping. An untrained model gives an unparseable label."""
+    if not model.trained:
+        return UNPARSEABLE
+    feats = hashed_features(tokens)
+    if not feats:
+        scenario, action = model.prior_intent
+        return SemanticLabel(scenario=scenario, action=action, entities=())
+    weights = dict(zip(model.features.tolist(), model.weights))
+    logits = model.bias.copy()
+    for idx, count in feats.items():
+        w = weights.get(idx)
+        if w is not None:
+            logits += count * w
+    best = logits.max()
+    winner = min(c for c, l in zip(model.classes, logits) if l == best)
+
+    index = {}
+    max_len = 0
+    for filler, slots in model.filler_lexicon.items():
+        toks = tuple(tokenize(filler))
+        if toks:
+            index[toks] = min(slots, key=lambda t: (-slots[t], t))
+            max_len = max(max_len, len(toks))
+    entities = []
+    i, n = 0, len(tokens)
+    while i < n:
+        hit = None
+        for length in range(min(max_len, n - i), 0, -1):
+            span = tuple(tokens[i:i + length])
+            if span in index:
+                hit = (index[span], " ".join(span), length)
+                break
+        if hit is None:
+            i += 1
+        else:
+            entities.append(Entity(etype=hit[0], filler=hit[1]))
+            i += hit[2]
+    return SemanticLabel(scenario=winner[0], action=winner[1], entities=tuple(entities))

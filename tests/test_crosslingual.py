@@ -3,7 +3,7 @@ import pytest
 import slumix.crosslingual
 from conftest import make_corpus, make_utt
 from slumix import ConfigError, CorpusFormatError, make_crosslingual_corpus
-from slumix.crosslingual import CROSSLINGUAL_MODES
+from slumix.crosslingual import CROSSLINGUAL_MODES, CorpusParts
 
 
 def lang_corpus(lang, n_train=40, speech=True, name=None):
@@ -112,13 +112,13 @@ class TestMassiveAugmented:
 
     def test_t_s_m_rebuilds_each_record_once(self, source, targets, massive, monkeypatch):
         calls = []
-        replace = slumix.crosslingual.replace
+        utterance = slumix.crosslingual.Utterance
 
-        def counting(obj, **changes):
-            calls.append(changes)
-            return replace(obj, **changes)
+        def counting(*args):
+            calls.append(args)
+            return utterance(*args)
 
-        monkeypatch.setattr(slumix.crosslingual, "replace", counting)
+        monkeypatch.setattr(slumix.crosslingual, "Utterance", counting)
         combined = make_crosslingual_corpus(source, targets, massive, mode="T_S_M",
                                             fewshot_pairs=10, seed=1)
         assert 0 < len(calls) <= len(combined)
@@ -174,3 +174,31 @@ class TestValidation:
         assert set(CROSSLINGUAL_MODES) == {
             "zero_shot", "T", "T_S", "T_M", "T_S_M",
             "no_source_T", "no_source_T_S", "no_source_T_M", "no_source_T_S_M"}
+
+
+class TestCorpusParts:
+    def test_same_corpus_with_or_without_a_store(self, source, targets, massive):
+        parts = CorpusParts()
+        for seed in (1, 2):
+            for mode in CROSSLINGUAL_MODES:
+                shared = make_crosslingual_corpus(source, targets, massive, mode=mode,
+                                                  fewshot_pairs=10, seed=seed, parts=parts)
+                alone = make_crosslingual_corpus(source, targets, massive, mode=mode,
+                                                 fewshot_pairs=10, seed=seed)
+                assert shared == alone
+
+    def test_each_part_built_once_per_store(self, source, targets, massive, monkeypatch):
+        # T_S_M's parts serve T_S and no_source_T_S_M whole; T_M adds only its
+        # transcript-only few-shot samples.
+        calls = []
+        utterance = slumix.crosslingual.Utterance
+        monkeypatch.setattr(slumix.crosslingual, "Utterance",
+                            lambda *args: calls.append(args) or utterance(*args))
+        parts = CorpusParts()
+        first = make_crosslingual_corpus(source, targets, massive, mode="T_S_M",
+                                         fewshot_pairs=10, seed=1, parts=parts)
+        assert len(calls) == len(first)
+        for mode in ("T_S_M", "T_S", "no_source_T_S_M", "T_M"):
+            make_crosslingual_corpus(source, targets, massive, mode=mode,
+                                     fewshot_pairs=10, seed=1, parts=parts)
+        assert len(calls) == len(first) + 2 * 10

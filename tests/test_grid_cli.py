@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -478,6 +480,42 @@ class TestCrossLingualGrid:
 
 
 @pytest.mark.parametrize("kind", ["mono", "xl"])
+def test_run_frees_its_store_without_gc(kind, syn_path, xl_setup, tmp_path, monkeypatch):
+    # No reference cycle holds a run's inputs: with the collector off, the
+    # feature store a run made is freed as soon as run_grid returns.
+    if kind == "mono":
+        manifest = mini_manifest(syn_path)
+    else:
+        tmp, _ = xl_setup
+        corpora = {lang: str(tmp / f"{lang}.jsonl") for lang in ("fr", "de", "ko")}
+        for lang, seed in (("de", 3), ("ko", 4)):
+            corpora[f"text-{lang}"] = str(tmp_path / f"text-{lang}.jsonl")
+            save_corpus(make_synthetic_corpus(40, seed=seed, lang=lang), corpora[f"text-{lang}"])
+        manifest = ExperimentManifest(
+            corpora=corpora, schemes=("text_only", "curriculum"), speech_levels=(0.1, 1.0),
+            seeds=(1, 2), epochs=2, recipe={"profile": "desk"},
+            crosslingual=CrossLingualSpec(source="fr", targets=("de", "ko"),
+                                          modes=("zero_shot", "T_S_M"),
+                                          massive=("text-de", "text-ko"), fewshot_pairs=8))
+    stores = []
+
+    class WatchedStore(FeatureStore):
+        def __init__(self):
+            super().__init__()
+            stores.append(weakref.ref(self))
+
+    monkeypatch.setattr(slumix.grid, "FeatureStore", WatchedStore)
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = run_grid(manifest, tmp_path / "runs")
+        assert outcome.ok and outcome.cells_run >= 10
+        assert len(stores) == 1 and stores[0]() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["mono", "xl"])
 def test_each_input_compiled_once_per_run(kind, syn_path, xl_setup, tmp_path, monkeypatch):
     if kind == "mono":
         manifest = mini_manifest(syn_path)
@@ -909,9 +947,9 @@ class TestCli:
     @pytest.mark.parametrize("command", ["train", "export-manifest"])
     @pytest.mark.parametrize("edit,message", [
         (lambda obj: obj["text_item_ids"].append(obj["text_item_ids"][0]),
-         "error: text ids contain duplicates"),
+         ": text ids contain duplicates"),
         (lambda obj: obj["permutation"].append(obj["permutation"][0]),
-         "error: speech ordering contains duplicates"),
+         ": speech ordering contains duplicates"),
         (lambda obj: obj.update(permutation=obj["permutation"][:1]),
          "exceeds available speech ordering (1)"),
         (lambda obj: obj.update(epochs=[]) or obj.pop("text_item_ids"),
@@ -932,7 +970,7 @@ class TestCli:
         out = tmp_path / "out.json"
         assert main([command, "--plan", str(plan), *source, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert err.startswith(f"error: {plan}: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "export-manifest"])
@@ -955,7 +993,7 @@ class TestCli:
                   else ["--corpus-ref", str(syn_path)])
         out = tmp_path / "out.json"
         assert main([command, "--plan", str(plan), *source, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {plan}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "export-manifest"])
@@ -1053,7 +1091,30 @@ class TestCli:
 
     @pytest.mark.parametrize("field,value", [
         ("classes", 5), ("filler_lexicon", []), ("weights", "@@"),
-    ], ids=["classes_int", "lexicon_array", "weights_not_base64"])
+        # Features must be strictly increasing ints in the hashed space, one per
+        # weight row, and classes strictly increasing pairs of strings: predict
+        # looks features up by binary search and breaks ties by class order.
+        ("features", lambda f: [str(x) for x in f]),
+        ("features", lambda f: [float(x) for x in f]),
+        ("features", lambda f: [True] + f[1:]),
+        ("features", lambda f: f[:1] + f[:-1]),
+        ("features", lambda f: f[::-1]),
+        ("features", lambda f: [-1] + f[1:]),
+        ("features", lambda f: f[:-1] + [2 ** 18]),
+        ("features", lambda f: f[:-1]),
+        ("features", lambda f: {str(x): x for x in f}),
+        ("classes", lambda c: c[::-1]),
+        ("classes", lambda c: c[:1] + c[:-1]),
+        ("classes", lambda c: [[s, a, "x"] for s, a in c]),
+        ("classes", lambda c: [[s, 1] for s, _ in c]),
+        ("classes", lambda c: ["".join(pair) for pair in c]),
+        ("bias", None),
+    ], ids=["classes_int", "lexicon_array", "weights_not_base64",
+            "features_strings", "features_floats", "features_bool", "features_duplicated",
+            "features_reversed", "features_negative", "features_outside_space",
+            "features_fewer_than_rows", "features_object",
+            "classes_reversed", "classes_duplicated", "classes_triples",
+            "classes_int_action", "classes_strings", "bias_null"])
     def test_wrong_typed_model_field_exit_1(self, syn_path, tmp_path, capsys, field, value):
         model = tmp_path / "model.json"
         assert main(["plan", "--scheme", "direct", "--p", "0.1", "--epochs", "1",
@@ -1062,13 +1123,17 @@ class TestCli:
         assert main(["train", "--plan", str(tmp_path / "plan.json"), "--corpus", str(syn_path),
                      "--out", str(model)]) == 0
         obj = json.loads(model.read_text())
-        obj[field] = value
+        assert len(obj["features"]) > 2 and len(obj["classes"]) > 2
+        obj[field] = value(obj[field]) if callable(value) else value
         model.write_text(json.dumps(obj))
         capsys.readouterr()
         code = main(["predict", "--model", str(model), "--corpus", str(syn_path),
                      "--out", str(tmp_path / "preds.jsonl")])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {model}: model has a malformed field")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: model has a malformed field (") and \
+            err.count("\n") == 1
+        assert not (tmp_path / "preds.jsonl").exists()
 
     def test_data_error_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

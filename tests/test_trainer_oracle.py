@@ -7,6 +7,7 @@ the training log is a defect, not rounding.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import reference_trainer
@@ -25,7 +26,7 @@ from slumix import (
     train,
 )
 from slumix.grid import make_plan_for_corpus, predict_records
-from slumix.trainer import FeatureStore
+from slumix.trainer import FeatureStore, ModelState, hashed_features
 
 SIM = SpeechSimConfig(substitution_rate=0.15, deletion_rate=0.10, seed=7)
 
@@ -33,8 +34,10 @@ SIM = SpeechSimConfig(substitution_rate=0.15, deletion_rate=0.10, seed=7)
 def assert_same_model(new, old):
     assert new.classes == old.classes
     assert new.bias.tobytes() == old.bias.tobytes()
-    assert {f: w.tobytes() for f, w in new.weights.items()} == \
-        {f: w.tobytes() for f, w in old.weights.items()}
+    assert new.features.dtype == old.features.dtype == np.int64
+    assert new.features.tobytes() == old.features.tobytes()
+    assert new.weights.shape == old.weights.shape
+    assert new.weights.tobytes() == old.weights.tobytes()
     assert list(new.filler_lexicon.items()) == list(old.filler_lexicon.items())
     assert [list(slots) for slots in new.filler_lexicon.values()] == \
         [list(slots) for slots in old.filler_lexicon.values()]
@@ -221,6 +224,35 @@ def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
     alone = [FeatureStore() for _ in inputs]
     assert [r.pred for r in shared] == \
         [store.predict(model, [store.row(*key)])[0] for store, key in zip(alone, inputs)]
+
+
+def test_predict_matches_oracle(synthetic):
+    sim = SpeechSimConfig(seed=1)
+    silent = SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=1)
+    trained = train(make_plan_for_corpus(synthetic, "direct", 0.25, 1, 2), synthetic,
+                    desk_recipe(), sim)
+    # Bias and one known feature tie the first two classes; unknown tokens
+    # leave the bias alone, whose top two tie in the other model.
+    tie_feature = next(iter(hashed_features(["tie"])))
+    tied = [ModelState(classes=(("a", "x"), ("b", "y"), ("c", "z")), bias=np.array(bias),
+                       features=np.array([tie_feature], dtype=np.int64),
+                       weights=np.array([[0.25, 0.25, 0.0]]),
+                       filler_lexicon={"tie": {"word": 2}, "tie tie": {"pair": 1}},
+                       prior_intent=("b", "y"), sim=sim)
+            for bias in ([0.0, 0.0, 0.1], [0.3, 0.0, 0.3])]
+    store = FeatureStore()
+    unknown = "qqqq zzzz qqqq"
+    rows = store.rows([(u.text, u.has_speech) for u in synthetic.records], sim)
+    rows += store.rows([(u.text, True) for u in synthetic.records[:50]], silent)
+    rows += [store.row(text, None) for text in (unknown, "tie", "tie tie", "tie qqqq tie")]
+    assert not set(hashed_features(unknown.split())) & set(trained.features.tolist())
+    assert any(not store.tokens[k] for k in rows)
+    for model in (trained, *tied, ModelState()):
+        assert store.predict(model, rows) == \
+            [reference_trainer.predict(model, store.tokens[k]) for k in rows]
+    assert [label.intent for label in store.predict(tied[0], rows[-4:])] == \
+        [("c", "z"), ("a", "x"), ("a", "x"), ("a", "x")]
+    assert store.predict(tied[1], rows[-4:])[0].intent == ("a", "x")
 
 
 def test_intent_seen_only_in_speech():
