@@ -11,14 +11,15 @@ permutation per target language over its speech-paired training records, so
 the T and T+S variants use the same underlying sample and repeated builds
 with one seed are prefix-nested.
 
-A combined corpus is a concatenation of parts: a corpus's train split (the
-source with its speech, a text-only corpus without) and a target's few-shot
-sample (with or without its speech). Each part's records are built as new
+A combined corpus is a concatenation of parts: the source's train split
+with its speech, a target's few-shot sample (with or without its speech) and
+a text-only corpus's train split. Each part's records are built as new
 ``Utterance`` objects, their ids namespaced and, where the mode drops speech,
-their speech references removed. A ``CorpusParts`` store builds each part
-once and serves it to every later call that asks for it. The combined corpus
-is checked only for duplicate ids: combining changes nothing else of
-validated records.
+their speech references removed. A ``CorpusParts`` store builds each
+target-side part once and serves it to every later call that asks for it;
+the source part is built by each call, since a grid restricts the source's
+speech anew for each speech level and seed. The combined corpus is checked
+only for duplicate ids: combining changes nothing else of validated records.
 """
 
 from __future__ import annotations
@@ -45,13 +46,14 @@ def _namespaced(corpus_name: str, records, keep_speech: bool) -> list[Utterance]
 
 
 class CorpusParts:
-    """The namespaced record lists of combined corpora, each built once: a
-    corpus's train split, and a target's few-shot sample per (pairs, seed,
-    speech kept). Parts are keyed by the corpus object and the store keeps
-    that object alive, so every ``make_crosslingual_corpus`` call given the
-    same corpora (a grid run loads each corpus once) shares them. Every part
-    is a pure function of its key, so a call's output is the same with or
-    without a store."""
+    """The namespaced target-side record lists of combined corpora, each built
+    once: a text-only corpus's train split, and a target's few-shot sample per
+    (pairs, seed, speech kept). Parts are keyed by the corpus object and the
+    store keeps that object alive, so every ``make_crosslingual_corpus`` call
+    given the same corpora (a grid run loads each corpus once) shares them,
+    and a store holds at most one copy of each such corpus's train split.
+    Every part is a pure function of its key, so a call's output is the same
+    with or without a store."""
 
     def __init__(self):
         self._parts: dict[tuple, tuple[Corpus, list[Utterance]]] = {}
@@ -87,8 +89,8 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
     Only train splits are taken; evaluation always runs against the target
     corpora's own test splits. Record ids are namespaced by corpus name so
     same-numbered ids across languages cannot collide. The inputs must be
-    validated corpora, as ``load_corpus`` returns them. Parts come from
-    ``parts`` (a store of its own if None).
+    validated corpora, as ``load_corpus`` returns them. Target-side parts
+    come from ``parts`` (a store of its own if None).
     """
     if mode not in CROSSLINGUAL_MODES:
         raise ConfigError(f"unknown cross-lingual mode {mode!r} "
@@ -113,8 +115,8 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
     parts = CorpusParts() if parts is None else parts
     records: list[Utterance] = []
     if use_source:
-        records += parts.get(source, ("train", True), lambda: _namespaced(
-            source.name, filter_split(source, "train").records, keep_speech=True))
+        records += _namespaced(source.name, filter_split(source, "train").records,
+                               keep_speech=True)
 
     if use_targets:
         for target in targets:
@@ -133,7 +135,7 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
             if extra is None:
                 raise ConfigError(
                     f"mode {mode!r}: no text-only corpus for target lang {target.lang!r}")
-            records += parts.get(extra, ("train", False), lambda: _namespaced(
+            records += parts.get(extra, ("train",), lambda: _namespaced(
                 extra.name, filter_split(extra, "train").records, keep_speech=False))
 
     combined = Corpus(name=f"xl-{mode}", lang="mul", records=records)

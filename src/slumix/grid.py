@@ -385,10 +385,10 @@ class _GridInputs:
     """One run's inputs: each corpus file's bytes, read once, with their digest
     and the corpus parsed from them, each on first use; the settings every
     cell hash covers; one feature store that every cell of the run trains
-    and predicts from; and, on a cross-lingual grid, the source restricted
-    to each (speech level, seed) and one store of the combined corpora's
-    parts. The caches capture locals, never ``self``, so a run's inputs are
-    freed when the run returns, without waiting for a garbage collection."""
+    and predicts from; and, on a cross-lingual grid, one store of the
+    combined corpora's target-side parts. The caches capture locals, never
+    ``self``, so a run's inputs are freed when the run returns, without
+    waiting for a garbage collection."""
 
     def __init__(self, manifest: ExperimentManifest):
         self.manifest = manifest
@@ -408,9 +408,6 @@ class _GridInputs:
             lambda name: hashlib.sha256(contents(name).data).hexdigest())
         self.features = FeatureStore()
         if xl is not None:
-            corpus = self.corpus
-            self.source = functools.cache(
-                lambda level, seed: _restrict_source_speech(corpus(xl.source), level, seed))
             self.parts = CorpusParts()
 
     def cell_hash(self, cell: _Cell) -> str:
@@ -485,7 +482,8 @@ def _run_xl_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Pat
         targets = [inputs.corpus(name) for name in xl.targets]
         massive = [inputs.corpus(name) for name in xl.massive]
         combined = make_crosslingual_corpus(
-            inputs.source(level, seed), targets, massive or None, mode,
+            _restrict_source_speech(inputs.corpus(xl.source), level, seed), targets,
+            massive or None, mode,
             fewshot_pairs=xl.fewshot_pairs, seed=derive_seed(seed, "fewshot-selection"),
             parts=inputs.parts)
         scheme = "curriculum" if any(r.has_speech for r in combined.records) else "text_only"

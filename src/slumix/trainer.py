@@ -193,10 +193,6 @@ class FeatureStore:
             out.append(k)
         return out
 
-    def row(self, text: str, sim: Optional[SpeechSimConfig]) -> int:
-        """The row number of ``text`` simulated under ``sim`` (None: the transcript)."""
-        return self.rows(((text, True),), sim)[0]
-
     def predict(self, model: ModelState, rows: Sequence[int]) -> list[SemanticLabel]:
         """The model's label for each row: intent by argmax over the linear
         model (a row without features takes ``prior_intent``); entities by
@@ -251,9 +247,11 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     rows are the hashed features ranked by first occurrence in the item
     stream, so a batch's new features take the next rows. Each batch is one
     matrix step: its logits are one flat ``np.add.at`` and its gradient one
-    ``np.bincount`` over the rows touched so far, whose float sums run in the
-    order of the per-item loop in ``tests/reference_trainer.py``, so the model
-    is the same bit for bit.
+    ``np.bincount`` over the batch's own distinct rows (one ``np.unique``
+    over every batch's (batch, row) pairs finds them before the first batch),
+    whose float sums run in the order of the per-item loop in
+    ``tests/reference_trainer.py``, so the model is the same bit for bit.
+    A batch's work therefore grows with its own entries, not the vocabulary.
 
     When a phase-2 epoch follows phase 1 (curriculum), the state after the
     last phase-1 epoch also goes into the store, keyed by all it is computed
@@ -357,13 +355,15 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             start, skip = split, sum(epoch_lens[:split])
 
     # Flat index arrays of the items and entries still to run, in stream
-    # order: run batch j holds items batch_at[j]:batch_at[j+1] and entries
-    # entry_at[j]:entry_at[j+1], and once it has run the weight rows below
-    # hi_at[j] have had an update.
+    # order: run batch j holds items batch_at[j]:batch_at[j+1], entries
+    # entry_at[j]:entry_at[j+1] and distinct weight rows
+    # uniq[uniq_at[j]:uniq_at[j+1]], ascending; entry_slot is each entry's
+    # place among its batch's distinct rows.
     run_keys = stream[item_at[start]:]
     run_lens = batch_lens[skip:]
     batch_at = np.cumsum([0] + run_lens)
-    item_row = np.arange(len(run_keys)) - np.repeat(batch_at[:-1], run_lens)
+    item_batch = np.repeat(np.arange(len(run_lens)), run_lens)
+    item_row = np.arange(len(run_keys)) - batch_at[item_batch]
     item_targets = targets[run_keys]
     target_at = item_row * n_classes + item_targets  # in the batch's flat logits
     item_lens = lens[run_keys] + 1
@@ -371,14 +371,21 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     entries = np.arange(entry_start[-1]) + np.repeat(indptr[run_keys] - entry_start[:-1],
                                                      item_lens)
     entry_rows = np.repeat(item_row, item_lens)
+    entry_batch = np.repeat(item_batch, item_lens)
     entry_feats = key_feats[entries]
     entry_counts = key_counts[entries, None]
-    entry_at = entry_start[batch_at]
-    hi_at = np.maximum(np.maximum.accumulate(entry_feats)[entry_at[1:] - 1] + 1,
-                       touched).tolist()
-    entry_at, batch_at = entry_at.tolist(), batch_at.tolist()
+    n_rows = len(vocab) + 1
+    uniq, entry_slot = np.unique(entry_batch * n_rows + entry_feats, return_inverse=True)
+    uniq_at = np.searchsorted(uniq, np.arange(len(run_lens) + 1) * n_rows)
+    entry_slot -= uniq_at[entry_batch]
+    uniq %= n_rows
+    # once batch j has run, the weight rows below hi_at[j] have had an update
+    hi_at = np.maximum(np.maximum.accumulate(uniq[uniq_at[1:] - 1]) + 1, touched).tolist()
+    entry_at = entry_start[batch_at].tolist()
+    batch_at, uniq_at = batch_at.tolist(), uniq_at.tolist()
+    del entries, entry_batch, item_batch
     logit_at = entry_rows * n_classes  # first flat logit of each entry
-    grad_at = entry_feats * n_classes  # first flat gradient of each entry
+    grad_at = entry_slot * n_classes  # first flat gradient of each entry
     class_cols = np.arange(n_classes)
     predicted = np.empty(len(run_keys), dtype=np.intp)
     log = math.log
@@ -413,16 +420,19 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             flat_probs[batch_targets] -= 1.0  # probs now holds d loss / d logits
 
             # bincount adds each weight row's entries in item order, as the
-            # per-item gradient does; the rows the batch skips stay 0.
+            # per-item gradient does, into a block of the batch's distinct rows.
+            batch_uniq = uniq[uniq_at[j]:uniq_at[j + 1]]
             terms = probs.take(entry_rows[n0:n1], axis=0)
             terms *= batch_counts
             grad = np.bincount((grad_at[n0:n1, None] + class_cols).ravel(), terms.ravel(),
-                               hi * n_classes).reshape(hi, n_classes)
+                               len(batch_uniq) * n_classes).reshape(-1, n_classes)
             grad *= lr / n_items
-            weights[:touched] -= grad[:touched]
+            # Rows first touched here are the block's tail, rows touched..hi-1.
             # A feature's first update sets it to -scale * g, keeping the sign
             # of zero that the per-item dict of weights would store.
-            np.negative(grad[touched:], out=weights[touched:hi])
+            first = len(batch_uniq) - (hi - touched)
+            weights[batch_uniq[:first]] -= grad[:first]
+            np.negative(grad[first:], out=weights[touched:hi])
             touched = hi
             j += 1
         n_items, n_speech = epoch_items[e0], epoch_speech[e0]

@@ -3,6 +3,7 @@ import pytest
 import slumix.crosslingual
 from conftest import make_corpus, make_utt
 from slumix import ConfigError, CorpusFormatError, make_crosslingual_corpus
+from slumix.corpus import filter_split
 from slumix.crosslingual import CROSSLINGUAL_MODES, CorpusParts
 
 
@@ -187,9 +188,11 @@ class TestCorpusParts:
                                                  fewshot_pairs=10, seed=seed)
                 assert shared == alone
 
-    def test_each_part_built_once_per_store(self, source, targets, massive, monkeypatch):
-        # T_S_M's parts serve T_S and no_source_T_S_M whole; T_M adds only its
-        # transcript-only few-shot samples.
+    def test_each_target_part_built_once_per_store(self, source, targets, massive,
+                                                   monkeypatch):
+        # T_S_M's target-side parts serve T_S and no_source_T_S_M whole; T_M
+        # adds only its transcript-only few-shot samples. The source part is
+        # built by every call that uses the source.
         calls = []
         utterance = slumix.crosslingual.Utterance
         monkeypatch.setattr(slumix.crosslingual, "Utterance",
@@ -198,7 +201,8 @@ class TestCorpusParts:
         first = make_crosslingual_corpus(source, targets, massive, mode="T_S_M",
                                          fewshot_pairs=10, seed=1, parts=parts)
         assert len(calls) == len(first)
+        n_source = len(filter_split(source, "train"))
         for mode in ("T_S_M", "T_S", "no_source_T_S_M", "T_M"):
             make_crosslingual_corpus(source, targets, massive, mode=mode,
                                      fewshot_pairs=10, seed=1, parts=parts)
-        assert len(calls) == len(first) + 2 * 10
+        assert len(calls) == len(first) + 3 * n_source + 2 * 10

@@ -45,7 +45,7 @@ def predict(model, text, sim=None):
     """The model's label for one input: a transcript, or speech simulated by
     ``sim``."""
     store = FeatureStore()
-    return store.predict(model, [store.row(text, sim)])[0]
+    return store.predict(model, store.rows([(text, True)], sim))[0]
 
 
 def plan_for(corpus, scheme, p, epochs=3, seed=1):
@@ -299,10 +299,10 @@ class TestPredictionRoundTrip:
                                epochs=2, seed=seed),
                       corpus, desk_recipe(), SpeechSimConfig(seed=seed))
         store = FeatureStore()
-        rows = [store.row(u.text, sim) for sim in (
+        rows = [k for sim in (
             None, SpeechSimConfig(seed=seed),
             SpeechSimConfig(substitution_rate=0.0, deletion_rate=1.0, seed=seed))
-            for u in corpus.records]
+            for k in store.rows([(u.text, True) for u in corpus.records], sim)]
         preds = store.predict(model, rows)
         assert model.prior_intent in {p.intent for p, k in zip(preds, rows)
                                       if not store.tokens[k]}

@@ -5,6 +5,8 @@ difference in a weight, the bias, the lexicon (including its key order) or
 the training log is a defect, not rounding.
 """
 
+import random
+import string
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +91,19 @@ def test_batch_sizes(synthetic, batch_size):
     if batch_size > 1:
         assert len(epoch_batches(plan, 1, batch_size, 1)[-1]) < batch_size
     both(plan, synthetic, desk_recipe(batch_size=batch_size), SIM)
+
+
+@pytest.mark.parametrize("batch_size", [2, 16])
+def test_vocabulary_growing_with_the_corpus(synthetic, batch_size):
+    # Two seeded random words per record give each a few features of its own,
+    # so batches mix rows touched long before with rows they touch first.
+    rng = random.Random(3)
+    corpus = make_corpus([replace(u, text=" ".join(
+        [u.text, *("".join(rng.choices(string.ascii_lowercase, k=6)) for _ in range(2))]))
+        for u in synthetic.records[:150]], lang=synthetic.lang)
+    plan = make_plan_for_corpus(corpus, "direct", 0.5, 2, 2)
+    model = both(plan, corpus, desk_recipe(batch_size=batch_size), SIM)
+    assert len(model.features) > 4 * len(plan.epochs[0].text_item_ids)
 
 
 def test_curriculum_single_epoch(synthetic):
@@ -219,11 +234,10 @@ def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
     records = synthetic.records
     shared = predict_records(model, records, oracle_transcripts, features=store)
     assert shared == predict_records(model, records, oracle_transcripts)
-    inputs = [(u.text, sim if u.has_speech and not oracle_transcripts else None)
-              for u in records]
+    inputs = [(u.text, u.has_speech and not oracle_transcripts) for u in records]
     alone = [FeatureStore() for _ in inputs]
     assert [r.pred for r in shared] == \
-        [store.predict(model, [store.row(*key)])[0] for store, key in zip(alone, inputs)]
+        [store.predict(model, store.rows([key], sim))[0] for store, key in zip(alone, inputs)]
 
 
 def test_predict_matches_oracle(synthetic):
@@ -244,7 +258,8 @@ def test_predict_matches_oracle(synthetic):
     unknown = "qqqq zzzz qqqq"
     rows = store.rows([(u.text, u.has_speech) for u in synthetic.records], sim)
     rows += store.rows([(u.text, True) for u in synthetic.records[:50]], silent)
-    rows += [store.row(text, None) for text in (unknown, "tie", "tie tie", "tie qqqq tie")]
+    rows += store.rows([(text, False) for text in (unknown, "tie", "tie tie", "tie qqqq tie")],
+                       None)
     assert not set(hashed_features(unknown.split())) & set(trained.features.tolist())
     assert any(not store.tokens[k] for k in rows)
     for model in (trained, *tied, ModelState()):
