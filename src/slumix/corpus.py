@@ -15,7 +15,8 @@ transcripts and the number of speech records differ.
 Records that repeat a label share one ``SemanticLabel``: a load builds,
 normalizes and checks each distinct label once, and still checks every
 record's own fields, each with its path and line. A save encodes each shared
-label once.
+label once. Records are slotted; a canonical load shares equal languages,
+transcripts and label fields as one string, a MASSIVE load equal languages.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def normalize_filler(value: str) -> str:
     return value if filler == value else filler
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """One slot: an entity-type name and the surface string filling it.
 
@@ -82,7 +83,7 @@ class Entity:
         return cls(etype=str(obj["type"]), filler=str(obj["filler"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticLabel:
     """Scenario/action intent plus an ordered entity list.
 
@@ -146,7 +147,7 @@ def label_fault(label: SemanticLabel) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     """One corpus record: transcript, optional speech reference, gold label."""
 
@@ -324,8 +325,13 @@ def _label_key(obj: dict, path, line) -> tuple:
 
 def _canonical_records(path) -> Iterable[Utterance]:
     # Recording records repeat their transcript's label, so each distinct label
-    # is built and checked once per load and shared by the records that carry it.
+    # is built and checked once per load and shared by the records that carry
+    # it; equal languages, transcripts and label fields share one string.
     labels: dict[tuple, tuple[SemanticLabel, Optional[str]]] = {}
+    strings: dict[str, str] = {}
+
+    def share(value: str) -> str:
+        return strings.setdefault(value, value)
     for lineno, obj in _load_jsonl(path):
         try:
             split = _map_split(obj["split"], path, lineno)
@@ -334,12 +340,13 @@ def _canonical_records(path) -> Iterable[Utterance]:
         except KeyError as exc:
             raise CorpusFormatError(f"missing field {exc.args[0]!r}", path, lineno) from exc
         if key not in labels:
-            label = SemanticLabel.from_dict(obj)
+            label = UNPARSEABLE if key[0] else SemanticLabel(
+                share(key[1]), share(key[2]), tuple(Entity(share(t), share(f)) for t, f in key[3]))
             labels[key] = (label, label_fault(label))
         label, fault = labels[key]
         ref = obj.get("speech_ref")
-        utt = Utterance(id=utt_id, lang=lang, split=split, text=text, label=label,
-                        speech_ref=None if ref is None else str(ref))
+        utt = Utterance(id=utt_id, lang=share(lang), split=split, text=share(text),
+                        label=label, speech_ref=None if ref is None else str(ref))
         _validate_record(utt, fault, path, lineno)
         yield utt
 
@@ -381,6 +388,7 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
 
 
 def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
+    langs: dict[str, str] = {}  # records share equal langs as one string
     for lineno, obj in _load_jsonl(path):
         rec_id = obj.get("id")
         if rec_id is None:
@@ -393,6 +401,7 @@ def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
             entities=_entities_from_annotation(annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
+        lang = langs.setdefault(lang, lang)
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")
         utt = Utterance(id=str(rec_id), lang=lang, split=split, text=text,
                         label=label, speech_ref=None if ref is None else str(ref))

@@ -92,6 +92,14 @@ class CrossLingualSpec:
             raise ConfigError(f"fewshot_pairs must be an integer (got {self.fewshot_pairs!r})")
         if self.fewshot_pairs < 0:
             raise ConfigError(f"fewshot_pairs must be >= 0 (got {self.fewshot_pairs})")
+        roles: dict[str, str] = {}  # a corpus in two roles would fail cells at run time
+        for role, names in (("source", (self.source,)), ("target", self.targets),
+                            ("massive", self.massive)):
+            for name in names:
+                if name in roles:
+                    raise ConfigError(f"cross-lingual corpus {name!r} is listed as "
+                                      f"{roles[name]} and again as {role}")
+                roles[name] = role
 
 
 @dataclass(frozen=True)

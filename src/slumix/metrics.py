@@ -13,8 +13,7 @@ the filler strings, computed once over word tokens and once over characters.
 The final score is the arithmetic mean of the micro word-level F1 and the
 micro character-level F1 (the SLURP-toolkit convention). The assignment is
 solved here, exactly, by the Hungarian method (``_max_credit``), so scoring
-needs no SciPy; the package loads SciPy only in ``stats.t_crit_95``, for t
-critical values above df = 200.
+needs no SciPy; nothing in the package does.
 
 ``evaluate`` computes every metric in one pass over the records.
 """
@@ -29,7 +28,7 @@ from .corpus import SemanticLabel
 from .errors import MetricsError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     utt_id: str
     gold: SemanticLabel

@@ -13,7 +13,8 @@ was trained on (``features``, ascending) and a column per class (``classes``,
 ascending), as ``model.json`` stores them. Training and prediction run whole
 batches through flat-index numpy kernels whose float sums follow the
 per-item loops of ``tests/reference_trainer.py``, so both give the loops'
-results bit for bit.
+results bit for bit. numpy is imported only inside the functions that
+compute with it, so a command that neither trains nor predicts never loads it.
 
 Speech inputs are simulated by a seeded per-token corruption of the
 transcript (substitution/deletion), so speech items contribute systematically
@@ -26,15 +27,16 @@ import base64
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .corpus import UNPARSEABLE, Corpus, Entity, SemanticLabel
 from .errors import TrainError
 from .jsonio import read_json, write_json
 from .scheduler import MixPlan, derive_rng, epoch_batches, plan_totals
 from .trainer_recipes import TrainRecipe, epoch_phases, is_number, lr_at
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FEATURE_DIM = 2 ** 18  # hashed feature space; crc32 keeps it platform-stable
 _SUB_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -89,6 +91,11 @@ def hashed_features(tokens: Sequence[str]) -> dict[int, float]:
     return feats
 
 
+def _zeros(shape, dtype: str = "float64") -> np.ndarray:
+    import numpy as np
+    return np.zeros(shape, dtype=dtype)
+
+
 @dataclass
 class ModelState:
     """Learned state: intent weights, filler lexicon, training trace and speech simulation.
@@ -98,8 +105,8 @@ class ModelState:
 
     classes: tuple[tuple[str, str], ...] = ()
     bias: Optional[np.ndarray] = None
-    features: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    weights: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    features: np.ndarray = field(default_factory=lambda: _zeros(0, "int64"))
+    weights: np.ndarray = field(default_factory=lambda: _zeros((0, 0)))
     filler_lexicon: dict[str, dict[str, int]] = field(default_factory=dict)
     prior_intent: Optional[tuple[str, str]] = None
     train_log: list[dict] = field(default_factory=list)
@@ -176,6 +183,7 @@ class FeatureStore:
              sim: Optional[SpeechSimConfig]) -> list[int]:
         """The row number of each ``(text, spoken)`` input: a spoken one is
         simulated under ``sim`` (read as a transcript if ``sim`` is None)."""
+        import numpy as np
         tables = (self._rows.setdefault(None, {}), self._rows.setdefault(sim, {}))
         out = []
         for text, spoken in inputs:
@@ -203,6 +211,7 @@ class FeatureStore:
         scaled by their counts, summed in the row's feature order, and the
         first of equal top logits wins: ``classes`` is sorted, so that is the
         least class."""
+        import numpy as np
         if not model.trained:
             return [UNPARSEABLE] * len(rows)
         index, longest = _lexicon_index(model.filler_lexicon)
@@ -261,6 +270,7 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     and seed, starts from that state at phase 2. Phase-1 features take the
     lowest rows, so the cached weight rows fit any later call's matrix.
     """
+    import numpy as np
     features = FeatureStore() if features is None else features
     by_id = corpus.by_id()
     all_batches = [epoch_batches(plan, e, recipe.batch_size, plan.config.seed)
@@ -463,10 +473,11 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
 
 
 def _b64(arr: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).decode()
+    return base64.b64encode(arr.astype(float, copy=False).tobytes()).decode()
 
 
 def _unb64(blob: str, shape) -> np.ndarray:
+    import numpy as np
     return np.frombuffer(base64.b64decode(blob), dtype=np.float64).reshape(shape).copy()
 
 
@@ -510,7 +521,9 @@ def model_from_dict(obj: dict, where: str = "model") -> ModelState:
     ``classes`` must be strictly increasing pairs of strings (the first of
     equal top logits is then the least class), with a bias exactly when there
     are any, and ``features`` strictly increasing integers in the hashed
-    feature space, one per weight row."""
+    feature space, one per weight row; ``filler_lexicon`` counts integers >= 1,
+    and ``prior_intent`` one of the classes, null when there are none."""
+    import numpy as np
     if obj["feature_dim"] != FEATURE_DIM:
         raise TrainError(f"{where} was trained on {obj['feature_dim']} hashed features, "
                          f"not {FEATURE_DIM}")
@@ -526,16 +539,22 @@ def model_from_dict(obj: dict, where: str = "model") -> ModelState:
     if not (isinstance(features, list)
             and all(type(f) is int and 0 <= f < FEATURE_DIM for f in features)):
         raise ValueError(f"features are not integers in [0, {FEATURE_DIM})")
-    features = np.array(features, dtype=np.int64)
-    if np.any(features[1:] <= features[:-1]):
+    if any(a >= b for a, b in zip(features, features[1:])):
         raise ValueError("features are not strictly increasing")
+    lexicon = obj["filler_lexicon"]
+    if not (isinstance(lexicon, dict) and all(isinstance(c, dict) and c and all(
+            type(n) is int and n >= 1 for n in c.values()) for c in lexicon.values())):
+        raise ValueError("filler_lexicon is not an object of objects of counts >= 1")
+    prior = obj["prior_intent"]
+    if (tuple(prior) if isinstance(prior, list) else prior) not in (classes or (None,)):
+        raise ValueError("prior_intent is not one of the classes (null when there are none)")
     return ModelState(
         classes=classes,
         bias=None if obj["bias"] is None else _unb64(obj["bias"], (len(classes),)),
-        features=features,
+        features=np.array(features, dtype=np.int64),
         weights=_unb64(obj["weights"], (len(features), len(classes))),
-        filler_lexicon={k: dict(v) for k, v in obj["filler_lexicon"].items()},
-        prior_intent=None if obj["prior_intent"] is None else tuple(obj["prior_intent"]),
+        filler_lexicon={k: dict(v) for k, v in lexicon.items()},
+        prior_intent=None if prior is None else tuple(prior),
         train_log=list(obj["train_log"]),
         sim=sim_from_dict(obj["sim"], f"{where} field 'sim'"),
     )

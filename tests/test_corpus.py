@@ -1,7 +1,8 @@
 import json
+import pickle
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +26,7 @@ from slumix import (
     validate_corpus,
 )
 from slumix.corpus import UNPARSEABLE
+from slumix.metrics import PredictionRecord
 
 
 def write_jsonl(path, rows):
@@ -125,6 +127,16 @@ class TestCanonicalProfile:
         assert u3.label == u1.label
         for utt, row in zip((u1, u2, u3, u4), rows):
             assert utt.label == SemanticLabel.from_dict(row)
+
+    def test_equal_strings_share_one_object(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [canonical_row("u1"), canonical_row("u1#r0", speech="a.flac"),
+                           canonical_row("u2", text="set an alarm", entities=[])])
+        u1, r0, u2 = load_corpus(path, "canonical").records
+        assert u1.text is r0.text and u1.lang is r0.lang is u2.lang
+        # Distinct labels share their equal fields too.
+        assert u1.label is not u2.label
+        assert u1.label.scenario is u2.label.scenario and u1.label.action is u2.label.action
 
     @pytest.mark.parametrize("change", [
         {"scenario": "alarm|x"},
@@ -401,6 +413,23 @@ class TestLabels:
         assert rebuilt == label
         assert rebuilt.scenario is label.scenario
         assert rebuilt.entities[0].filler is label.entities[0].filler
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize("record", [
+        Entity("time", "seven am"),
+        SemanticLabel("alarm", "set", (Entity("time", "seven am"),)),
+        make_utt("u1", "wake me up", entities=[("time", "seven am")], speech=True),
+        PredictionRecord("u1", SemanticLabel("alarm", "set"), UNPARSEABLE),
+    ], ids=["entity", "label", "utterance", "prediction"])
+    def test_slotted_picklable_and_replaceable(self, record):
+        assert not hasattr(record, "__dict__")
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        name = fields(record)[0].name
+        changed = replace(record, **{name: "x"})
+        assert getattr(changed, name) == "x" and changed != record
+        assert replace(changed, **{name: getattr(record, name)}) == record
 
 
 # Every character str.isspace accepts; re's \s matches the same ones.

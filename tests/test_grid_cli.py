@@ -617,7 +617,7 @@ class TestCli:
                               text=True, check=True).stdout
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported on first use, by large-df aggregation only.
+        # The package needs no scipy: t critical values past the table are computed.
         code = ("import sys, slumix.cli; "
                 "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
         assert self._run_python(code) == "[]\n"
@@ -639,6 +639,41 @@ class TestCli:
                 "print(code, 'scipy.optimize' in sys.modules)")
         assert self._run_python(code).splitlines()[-1] == "0 False"
         assert 0.0 < json.loads((tmp_path / "report.json").read_text())["slu_f1"] < 1.0
+
+    def test_only_training_loads_numpy(self, syn_path, tmp_path):
+        # A grid in this process gives aggregate its runs and evaluate its predictions.
+        manifest = mini_manifest(syn_path, schemes=("text_only",), speech_levels=(0.1,),
+                                 seeds=(1,), epochs=1)
+        config = tmp_path / "m.json"
+        config.write_text(json.dumps(manifest_to_dict(manifest)))
+        runs = tmp_path / "runs"
+        assert run_grid(manifest, runs).ok
+        preds = next(runs.glob("*/preds.jsonl"))
+        d, syn = str(tmp_path), str(syn_path)
+        commands = [
+            ["synth", "--n", "50", "--out", f"{d}/s.jsonl"],
+            ["ingest", "--in", syn, "--profile", "canonical", "--out", f"{d}/i.jsonl"],
+            ["plan", "--scheme", "direct", "--p", "0.5", "--epochs", "1", "--seed", "1",
+             "--corpus", syn, "--out", f"{d}/plan.json"],
+            ["export-manifest", "--plan", f"{d}/plan.json", "--corpus-ref", syn,
+             "--out", f"{d}/export.json"],
+            ["evaluate", "--gold", syn, "--pred", str(preds), "--out", f"{d}/report.json"],
+            ["aggregate", "--config", str(config), "--runs", str(runs),
+             "--out", f"{d}/agg.csv"],
+            ["report", "--agg", f"{d}/agg.csv", "--style", "monolingual",
+             "--out-prefix", f"{d}/table"],
+        ]
+        train = ["train", "--plan", f"{d}/plan.json", "--corpus", syn,
+                 "--out", f"{d}/model.json"]
+        code = ("import sys, slumix, slumix.cli; "
+                "loaded = lambda: [m for m in ('numpy', 'scipy') if m in sys.modules]; "
+                "seen = [loaded()]; "
+                f"codes = [slumix.cli.main(argv) for argv in {commands!r}]; "
+                "seen.append(loaded()); "
+                f"codes.append(slumix.cli.main({train!r})); "
+                "print(codes, seen + [loaded()])")
+        assert self._run_python(code).splitlines()[-1] == (
+            f"{[0] * (len(commands) + 1)} [[], [], ['numpy']]")
 
     def test_full_pipeline(self, tmp_path, capsys):
         d = tmp_path
@@ -944,6 +979,33 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("xl,name,roles", [
+        ({"targets": ["de", "ko"], "massive": ["de"]}, "de", "target and again as massive"),
+        ({"targets": ["fr", "de"]}, "fr", "source and again as target"),
+        ({"targets": ["de", "de"]}, "de", "target and again as target"),
+        ({"targets": ["de"], "massive": ["fr"]}, "fr", "source and again as massive"),
+        ({"targets": ["de"], "massive": ["ko", "ko"]}, "ko", "massive and again as massive"),
+    ], ids=["massive_names_target", "source_is_target", "target_twice",
+            "massive_names_source", "massive_twice"])
+    def test_crosslingual_corpus_in_two_roles_exit_1_before_any_cell(
+            self, tmp_path, capsys, xl, name, roles):
+        # Each of these manifests would fail cells at run time, not once at load.
+        corpora = {}
+        for seed, lang in enumerate(("fr", "de", "ko")):
+            corpora[lang] = str(tmp_path / f"{lang}.jsonl")
+            save_corpus(make_synthetic_corpus(60, seed, lang=lang), corpora[lang])
+        manifest = {"corpora": corpora, "schemes": ["text_only", "curriculum"],
+                    "speech_levels": [0.5], "seeds": [1], "epochs": 1,
+                    "crosslingual": {"source": "fr", "modes": ["zero_shot", "T_S_M"],
+                                     "fewshot_pairs": 10, **xl}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cross-lingual corpus {name!r} is listed as {roles}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "export-manifest"])
     @pytest.mark.parametrize("edit,message", [
         (lambda obj: obj["text_item_ids"].append(obj["text_item_ids"][0]),
@@ -1109,12 +1171,25 @@ class TestCli:
         ("classes", lambda c: [[s, 1] for s, _ in c]),
         ("classes", lambda c: ["".join(pair) for pair in c]),
         ("bias", None),
+        # Lexicon counts are integers >= 1 (predict ranks entity types by them),
+        # and featureless rows are labelled with prior_intent, one of the classes.
+        ("filler_lexicon", lambda lex: {f: {t: "y" for t in c} for f, c in lex.items()}),
+        ("filler_lexicon", lambda lex: {f: {t: True for t in c} for f, c in lex.items()}),
+        ("filler_lexicon", lambda lex: {f: {t: 0 for t in c} for f, c in lex.items()}),
+        ("filler_lexicon", lambda lex: {f: {} for f in lex}),
+        ("filler_lexicon", lambda lex: {f: list(c) for f, c in lex.items()}),
+        ("prior_intent", ["nope", "nope"]),
+        ("prior_intent", None),
+        ("prior_intent", "ab"),
     ], ids=["classes_int", "lexicon_array", "weights_not_base64",
             "features_strings", "features_floats", "features_bool", "features_duplicated",
             "features_reversed", "features_negative", "features_outside_space",
             "features_fewer_than_rows", "features_object",
             "classes_reversed", "classes_duplicated", "classes_triples",
-            "classes_int_action", "classes_strings", "bias_null"])
+            "classes_int_action", "classes_strings", "bias_null",
+            "lexicon_count_string", "lexicon_count_bool", "lexicon_count_zero",
+            "lexicon_counts_empty", "lexicon_counts_array",
+            "prior_intent_unknown", "prior_intent_null", "prior_intent_string"])
     def test_wrong_typed_model_field_exit_1(self, syn_path, tmp_path, capsys, field, value):
         model = tmp_path / "model.json"
         assert main(["plan", "--scheme", "direct", "--p", "0.1", "--epochs", "1",

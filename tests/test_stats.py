@@ -2,6 +2,7 @@ import math
 
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from slumix import (
     AggregateCell,
@@ -35,6 +36,12 @@ class TestTTable:
         assert t_crit_95(201) == pytest.approx(1.971837, abs=1e-6)
         values = [t_crit_95(df) for df in range(1, 10001)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_beyond_table_matches_scipy(self):
+        # The closed form past the table against scipy's exact quantile.
+        dfs = [*range(201, 5000), 10 ** 5, 10 ** 7]
+        exact = stdtrit(dfs, 0.975).tolist()
+        assert max(abs(t_crit_95(df) - q) for df, q in zip(dfs, exact)) < 1e-9
 
     def test_df_zero_rejected(self):
         with pytest.raises(StatsError):
