@@ -19,6 +19,7 @@ from .corpus import (
     corpus_stats,
     filter_split,
     load_corpus,
+    read_records,
     save_corpus,
 )
 from .errors import CorpusFormatError, SlumixError
@@ -104,14 +105,14 @@ def _cmd_predict(args, log: _Log) -> int:
 
 
 def _cmd_evaluate(args, log: _Log) -> int:
-    gold_by_id = load_corpus(args.gold, "canonical").by_id()
+    gold = {utt.id: utt.label for utt in read_records(args.gold, "canonical")}
     rows = []
     for lineno, row in _load_jsonl(args.pred):
         if not isinstance(row.get("utt_id"), str) or "pred_raw" not in row:
             raise CorpusFormatError("prediction row needs a string 'utt_id' and a 'pred_raw'",
                                     args.pred, lineno)
         rows.append(row)
-    report = score_prediction_rows(rows, gold_by_id)
+    report = score_prediction_rows(rows, gold)
     write_report(args.out, report_to_dict(report))
     log.emit("evaluated", n=report.counts["n_utts"],
              intent_accuracy=round(report.intent_accuracy, 6),

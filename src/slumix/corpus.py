@@ -12,11 +12,13 @@ record carries a transcript. For SLURP-style sources, each audio recording
 becomes its own record (sharing the transcript), so the number of distinct
 transcripts and the number of speech records differ.
 
-Records that repeat a label share one ``SemanticLabel``: a load builds,
-normalizes and checks each distinct label once, and still checks every
-record's own fields, each with its path and line. A save encodes each shared
-label once. Records are slotted; a canonical load shares equal languages,
-transcripts and label fields as one string, a MASSIVE load equal languages.
+``read_records`` streams a file's records, each checked as it is read (its
+fields, its label, a new id, the file's language) and a fault reported with
+path and line; ``load_corpus`` keeps them as a ``Corpus``. Records that repeat
+a label share one ``SemanticLabel``, built, normalized and checked once per
+read. A save encodes each shared label once. Records are slotted; a canonical
+read shares equal languages, transcripts and label fields as one string, a
+MASSIVE read equal languages.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .errors import CorpusFormatError
 
@@ -190,43 +192,53 @@ class Corpus:
         return {r.id: r for r in self.records}
 
 
-def _validate_record(utt: Utterance, fault: Optional[str], path=None, line=None) -> None:
-    """Check one record; ``fault`` is ``label_fault(utt.label)``, which a reader
-    that shares one label among records computes once per label."""
-    if not utt.id:
+def _validate_record(utt_id, lang, split, text, fault: Optional[str], path=None, line=None):
+    """Check one record's fields; ``fault`` is ``label_fault`` of its label,
+    which a reader that shares one label among records computes once per label."""
+    if not utt_id:
         raise CorpusFormatError("record id is empty", path, line)
-    if not utt.lang:
-        raise CorpusFormatError(f"record {utt.id!r}: language code is empty", path, line)
-    if utt.split not in SPLITS:
+    if not lang:
+        raise CorpusFormatError(f"record {utt_id!r}: language code is empty", path, line)
+    if split not in SPLITS:
         raise CorpusFormatError(
-            f"record {utt.id!r}: split {utt.split!r} not in {SPLITS}", path, line)
-    if not utt.text.strip():
-        raise CorpusFormatError(f"record {utt.id!r}: transcript is empty", path, line)
+            f"record {utt_id!r}: split {split!r} not in {SPLITS}", path, line)
+    if not text.strip():
+        raise CorpusFormatError(f"record {utt_id!r}: transcript is empty", path, line)
     if fault is not None:
-        raise CorpusFormatError(f"record {utt.id!r}: gold label {fault}", path, line)
+        raise CorpusFormatError(f"record {utt_id!r}: gold label {fault}", path, line)
+
+
+def _checked(numbered, lang: Optional[str] = None, path=None) -> Iterator[Utterance]:
+    """The records of ``(line, record)`` pairs, each after a check that its id
+    is new and its language ``lang`` (the first record's if None, any if "mul")."""
+    seen: set[str] = set()
+    for line, utt in numbered:
+        if utt.id in seen:
+            raise CorpusFormatError(f"duplicate record id {utt.id!r}", path, line)
+        seen.add(utt.id)
+        lang = utt.lang if lang is None else lang
+        if utt.lang != lang and lang != "mul":
+            raise CorpusFormatError(
+                f"record {utt.id!r}: lang {utt.lang!r} != corpus lang {lang!r}", path, line)
+        yield utt
 
 
 def _check_ids_and_lang(corpus: Corpus) -> None:
-    seen: set[str] = set()
-    for utt in corpus.records:
-        if utt.id in seen:
-            raise CorpusFormatError(f"duplicate record id {utt.id!r}")
-        seen.add(utt.id)
-        if corpus.lang != "mul" and utt.lang != corpus.lang:
-            raise CorpusFormatError(
-                f"record {utt.id!r}: lang {utt.lang!r} != corpus lang {corpus.lang!r}")
+    for _ in _checked(((None, utt) for utt in corpus.records), corpus.lang):
+        pass
 
 
 def validate_corpus(corpus: Corpus) -> None:
     """Check corpus invariants: valid splits/labels, unique ids, one language
     (combined multilingual corpora use lang "mul" and skip that check)."""
     for utt in corpus.records:
-        _validate_record(utt, label_fault(utt.label))
+        _validate_record(utt.id, utt.lang, utt.split, utt.text, label_fault(utt.label))
     _check_ids_and_lang(corpus)
 
 
-def _map_split(raw: str, path, line) -> str:
-    split = _SPLIT_ALIASES.get(str(raw).strip().lower())
+def _map_split(raw, path, line) -> str:
+    split = _SPLIT_ALIASES.get(raw) if raw.__class__ is str else None
+    split = split or _SPLIT_ALIASES.get(str(raw).strip().lower())
     if split is None:
         raise CorpusFormatError(f"unknown split/partition {raw!r}", path, line)
     return split
@@ -293,9 +305,10 @@ class FileBytes:
         return self.path
 
 
-def _load_jsonl(path) -> Iterable[tuple[int, dict]]:
+def _load_jsonl(path) -> Iterator[tuple[int, dict]]:
     # Lines are split on b"\n" and decoded one by one, so a file that is not
     # UTF-8 is reported at the line that holds the bad bytes.
+    decode = json.JSONDecoder().raw_decode
     with io.BytesIO(path.data) if isinstance(path, FileBytes) else open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
@@ -305,10 +318,15 @@ def _load_jsonl(path) -> Iterable[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
-            if not isinstance(obj, dict):
+                obj, end = decode(line)
+            except ValueError:
+                end = -1
+            if end != len(line):  # not one JSON value: json.loads words the fault
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"invalid JSON ({exc.msg})", path, lineno) from exc
+            if obj.__class__ is not dict:
                 raise CorpusFormatError("record is not a JSON object", path, lineno)
             yield lineno, obj
 
@@ -318,40 +336,47 @@ def _label_key(obj: dict, path, line) -> tuple:
     records with equal keys get equal labels."""
     if obj.get("unparseable"):
         return (True,)
-    entities = _entity_objects(obj, path, line)
-    return (False, str(obj.get("scenario", "")), str(obj.get("action", "")),
-            tuple((str(e["type"]), str(e["filler"])) for e in entities))
+    entities = obj.get("entities", [])
+    if entities.__class__ is list:
+        try:
+            return (False, str(obj.get("scenario", "")), str(obj.get("action", "")),
+                    *[(str(e["type"]), str(e["filler"])) for e in entities])
+        except (TypeError, KeyError):  # a non-object entry, or an entry's missing field
+            _entity_objects(obj, path, line)
+            raise
+    raise CorpusFormatError("field 'entities' is not a list of objects", path, line)
 
 
-def _canonical_records(path) -> Iterable[Utterance]:
+def _canonical_records(path) -> Iterator[tuple[int, Utterance]]:
     # Recording records repeat their transcript's label, so each distinct label
     # is built and checked once per load and shared by the records that carry
     # it; equal languages, transcripts and label fields share one string.
     labels: dict[tuple, tuple[SemanticLabel, Optional[str]]] = {}
-    strings: dict[str, str] = {}
-
-    def share(value: str) -> str:
-        return strings.setdefault(value, value)
+    share = {}.setdefault
     for lineno, obj in _load_jsonl(path):
         try:
             split = _map_split(obj["split"], path, lineno)
-            utt_id, lang, text = str(obj["id"]), str(obj["lang"]), str(obj["text"])
+            utt_id, lang, text = obj["id"], obj["lang"], obj["text"]
             key = _label_key(obj, path, lineno)
         except KeyError as exc:
             raise CorpusFormatError(f"missing field {exc.args[0]!r}", path, lineno) from exc
-        if key not in labels:
+        if utt_id.__class__ is not str or lang.__class__ is not str or text.__class__ is not str:
+            utt_id, lang, text = str(utt_id), str(lang), str(text)
+        entry = labels.get(key)
+        if entry is None:
             label = UNPARSEABLE if key[0] else SemanticLabel(
-                share(key[1]), share(key[2]), tuple(Entity(share(t), share(f)) for t, f in key[3]))
-            labels[key] = (label, label_fault(label))
-        label, fault = labels[key]
+                *[share(v, v) for v in key[1:3]],
+                tuple(Entity(share(t, t), share(f, f)) for t, f in key[3:]))
+            entry = labels[key] = label, label_fault(label)
+        label, fault = entry
+        _validate_record(utt_id, lang, split, text, fault, path, lineno)
         ref = obj.get("speech_ref")
-        utt = Utterance(id=utt_id, lang=share(lang), split=split, text=share(text),
-                        label=label, speech_ref=None if ref is None else str(ref))
-        _validate_record(utt, fault, path, lineno)
-        yield utt
+        yield lineno, Utterance(id=utt_id, lang=share(lang, lang), split=split,
+                                text=share(text, text), label=label,
+                                speech_ref=None if ref is None else str(ref))
 
 
-def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]:
+def _slurp_records(path, pairing: str, default_lang: str) -> Iterator[tuple[int, Utterance]]:
     if pairing not in ("all", "one"):
         raise CorpusFormatError(f"unknown recording pairing {pairing!r} (use 'all' or 'one')")
     for lineno, obj in _load_jsonl(path):
@@ -370,8 +395,7 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
             entities=_entities_from_list(_entity_objects(obj, path, lineno), annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
-        text_utt = Utterance(id=base_id, lang=lang, split=split, text=text, label=label)
-        _validate_record(text_utt, label_fault(label), path, lineno)
+        _validate_record(base_id, lang, split, text, label_fault(label), path, lineno)
         recordings = obj.get("recordings", [])
         if not isinstance(recordings, list):
             raise CorpusFormatError("field 'recordings' is not a list", path, lineno)
@@ -381,13 +405,13 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterable[Utterance]
                 raise CorpusFormatError(
                     f"field 'recordings': entry #{i} is not a file name (a non-empty "
                     f"string, or an object whose 'file' is one)", path, lineno)
-        yield text_utt
+        yield lineno, Utterance(id=base_id, lang=lang, split=split, text=text, label=label)
         for i, ref in enumerate(refs[:1] if pairing == "one" else refs):
-            yield Utterance(id=f"{base_id}#r{i}", lang=lang, split=split, text=text,
-                            label=label, speech_ref=ref)
+            yield lineno, Utterance(id=f"{base_id}#r{i}", lang=lang, split=split, text=text,
+                                    label=label, speech_ref=ref)
 
 
-def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
+def _massive_records(path, default_lang: str) -> Iterator[tuple[int, Utterance]]:
     langs: dict[str, str] = {}  # records share equal langs as one string
     for lineno, obj in _load_jsonl(path):
         rec_id = obj.get("id")
@@ -402,38 +426,45 @@ def _massive_records(path, default_lang: str) -> Iterable[Utterance]:
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
         lang = langs.setdefault(lang, lang)
+        _validate_record(str(rec_id), lang, split, text, label_fault(label), path, lineno)
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")
-        utt = Utterance(id=str(rec_id), lang=lang, split=split, text=text,
-                        label=label, speech_ref=None if ref is None else str(ref))
-        _validate_record(utt, label_fault(label), path, lineno)
-        yield utt
+        yield lineno, Utterance(id=str(rec_id), lang=lang, split=split, text=text,
+                                label=label, speech_ref=None if ref is None else str(ref))
 
 
 PROFILES = ("canonical", "slurp", "massive")
 
 
-def load_corpus(path, profile: str = "canonical", *, name: Optional[str] = None,
-                pairing: str = "all", default_lang: str = "en") -> Corpus:
-    """Load and validate a corpus file under the given format profile.
+def read_records(path, profile: str = "canonical", *, pairing: str = "all",
+                 default_lang: str = "en") -> Iterator[Utterance]:
+    """The records of a corpus file under the given format profile, in file
+    order, each checked as it is read (fields, label, a new id, the first
+    record's language unless that is "mul"), a fault at its line.
 
     ``path`` is a file path, or a ``FileBytes`` holding contents already read.
     ``pairing`` applies to SLURP-style sources only: "all" keeps every
     recording as its own speech record, "one" keeps only the first.
     """
     if profile == "canonical":
-        records = list(_canonical_records(path))
+        numbered = _canonical_records(path)
     elif profile == "slurp":
-        records = list(_slurp_records(path, pairing, default_lang))
+        numbered = _slurp_records(path, pairing, default_lang)
     elif profile == "massive":
-        records = list(_massive_records(path, default_lang))
+        numbered = _massive_records(path, default_lang)
     else:
         raise CorpusFormatError(f"unknown profile {profile!r} (expected one of {PROFILES})")
-    if not records:
+    utt = None
+    for utt in _checked(numbered, path=path):
+        yield utt
+    if utt is None:
         raise CorpusFormatError("empty corpus file", path)
-    # The readers validated each record, with its path and line.
-    corpus = Corpus(name=name or str(path), lang=records[0].lang, records=records)
-    _check_ids_and_lang(corpus)
-    return corpus
+
+
+def load_corpus(path, profile: str = "canonical", *, name: Optional[str] = None,
+                pairing: str = "all", default_lang: str = "en") -> Corpus:
+    """The corpus of ``read_records``, named ``name`` (``path`` if None)."""
+    records = list(read_records(path, profile, pairing=pairing, default_lang=default_lang))
+    return Corpus(name=name or str(path), lang=records[0].lang, records=records)
 
 
 def _head_json(utt: Utterance) -> str:

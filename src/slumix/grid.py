@@ -185,6 +185,13 @@ def manifest_to_dict(manifest: ExperimentManifest) -> dict:
     return obj
 
 
+def _array(section: dict, name: str, *default) -> tuple:
+    value = section.get(name, *default) if default else section[name]
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise ConfigError(f"manifest field {name!r} is not an array (got {value!r})")
+
+
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
     if obj.get("kind", "experiment_manifest") != "experiment_manifest":
         raise ConfigError(f"not an experiment manifest: kind={obj.get('kind')!r}")
@@ -195,16 +202,16 @@ def manifest_from_dict(obj: dict) -> ExperimentManifest:
         raw = obj["crosslingual"]
         xl = CrossLingualSpec(
             source=raw["source"],
-            targets=tuple(raw["targets"]),
-            modes=tuple(raw["modes"]),
-            massive=tuple(raw.get("massive", ())),
+            targets=_array(raw, "targets"),
+            modes=_array(raw, "modes"),
+            massive=_array(raw, "massive", ()),
             fewshot_pairs=raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS),
         )
     return ExperimentManifest(
         corpora=dict(obj["corpora"]),
-        schemes=tuple(obj.get("schemes", ("text_only", "direct", "curriculum"))),
-        speech_levels=tuple(obj.get("speech_levels", DEFAULT_SPEECH_LEVELS)),
-        seeds=tuple(obj["seeds"]),
+        schemes=_array(obj, "schemes", ("text_only", "direct", "curriculum")),
+        speech_levels=_array(obj, "speech_levels", DEFAULT_SPEECH_LEVELS),
+        seeds=_array(obj, "seeds"),
         epochs=obj.get("epochs", 3),
         recipe=obj.get("recipe", {}),
         sim=obj.get("sim", {}),
@@ -271,15 +278,15 @@ def prediction_rows(records) -> list[dict]:
             for r in records]
 
 
-def score_prediction_rows(rows, gold_by_id: dict) -> MetricReport:
-    """Score ``preds.jsonl`` rows against the gold utterances they name by
-    ``utt_id``; each row's ``pred_raw`` is parsed and its ``gold`` ignored."""
+def score_prediction_rows(rows, gold: dict) -> MetricReport:
+    """Score ``preds.jsonl`` rows against the gold labels of the ids they name
+    by ``utt_id``; each row's ``pred_raw`` is parsed and its ``gold`` ignored."""
     records = []
     for row in rows:
-        utt = gold_by_id.get(row["utt_id"])
-        if utt is None:
+        label = gold.get(row["utt_id"])
+        if label is None:
             raise MetricsError(f"prediction for unknown utterance {row['utt_id']!r}")
-        records.append(PredictionRecord(utt_id=utt.id, gold=utt.label,
+        records.append(PredictionRecord(utt_id=row["utt_id"], gold=label,
                                         pred=parse_label(row["pred_raw"])))
     return evaluate(records)
 
@@ -519,17 +526,33 @@ class GridOutcome:
         return not self.failures
 
 
+def _check_languages(xl: CrossLingualSpec, inputs: _GridInputs) -> None:
+    """The language checks of ``make_crosslingual_corpus``, once for all cells."""
+    langs = [inputs.corpus(name).lang for name in (xl.source, *xl.targets)]
+    if len(set(langs)) != len(langs):
+        raise ConfigError(f"source/target languages must be distinct (got {langs})")
+    # T_M, T_S_M and their no_source_ forms train on the massive corpora.
+    mode = next((mode for mode in xl.modes if mode.endswith("_M")), None)
+    have = {inputs.corpus(name).lang for name in xl.massive} if mode else set(langs)
+    for lang in langs[1:]:
+        if lang not in have:
+            raise ConfigError(f"mode {mode!r}: no text-only corpus for target lang {lang!r}")
+
+
 def run_grid(manifest: ExperimentManifest, out_dir) -> GridOutcome:
     """Run every cell of the manifest (skipping finished ones), then
     aggregate its cells to CSV.
 
     Any exception in a cell is recorded as that cell's failure (type, message
     and traceback) and the grid continues; the outcome carries the failure
-    list so callers can exit nonzero. Each corpus is loaded once, on first use.
+    list so callers can exit nonzero. Each corpus is loaded once, on first use;
+    a cross-lingual grid's are checked for their languages before any cell.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     inputs = _GridInputs(manifest)
+    if manifest.crosslingual is not None:
+        _check_languages(manifest.crosslingual, inputs)
+    out.mkdir(parents=True, exist_ok=True)
     runner = _run_mono_cell if manifest.crosslingual is None else _run_xl_cell
     results, failures = [], []
     for cell in _grid_cells(manifest):

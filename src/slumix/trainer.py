@@ -24,9 +24,11 @@ noisier features than their text counterparts.
 from __future__ import annotations
 
 import base64
+import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .corpus import UNPARSEABLE, Corpus, Entity, SemanticLabel
@@ -561,7 +563,12 @@ def model_from_dict(obj: dict, where: str = "model") -> ModelState:
 
 
 def save_model(model: ModelState, path) -> None:
-    write_json(path, model_to_dict(model))
+    """``write_json`` of ``model_to_dict``, with the base64 weights (which need
+    no escaping) spliced in at their key, past the encoder's escape scan."""
+    obj = model_to_dict(model)
+    weights, obj["weights"] = obj["weights"], ""
+    head, tail = json.dumps(obj, ensure_ascii=False).split('"weights": ""', 1)
+    Path(path).write_text(f'{head}"weights": "{weights}"{tail}', encoding="utf-8")
 
 
 def load_model(path) -> ModelState:

@@ -25,7 +25,7 @@ from slumix import (
     text_items,
     validate_corpus,
 )
-from slumix.corpus import UNPARSEABLE
+from slumix.corpus import UNPARSEABLE, read_records
 from slumix.metrics import PredictionRecord
 
 
@@ -76,6 +76,63 @@ class TestCanonicalProfile:
         write_jsonl(path, [canonical_row("u1"), canonical_row("u2", lang="de")])
         with pytest.raises(CorpusFormatError, match="corpus lang"):
             load_corpus(path, "canonical")
+
+    @pytest.mark.parametrize("rows,line,message", [
+        ([canonical_row("u1"), canonical_row("u2"), canonical_row("u1"),
+          canonical_row("u4", split="holdout")], 3, "duplicate record id 'u1'"),
+        ([canonical_row("u1"), canonical_row("u2", lang="de"), canonical_row("u3", text=" ")],
+         2, "record 'u2': lang 'de' != corpus lang 'en'"),
+        ([canonical_row("u1"), canonical_row("u2", split="holdout"), canonical_row("u1")],
+         2, "unknown split/partition 'holdout'"),
+    ], ids=["duplicate_id", "foreign_lang", "earlier_line_fault"])
+    def test_first_fault_reported_at_its_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path, "canonical")
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    def test_records_stream_before_a_later_fault(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [canonical_row("u1"), canonical_row("u2"), canonical_row("u1")])
+        records = read_records(path, "canonical")
+        assert [next(records).id, next(records).id] == ["u1", "u2"]
+        with pytest.raises(CorpusFormatError, match=r":3: duplicate record id 'u1'"):
+            next(records)
+
+    @pytest.mark.parametrize("line,message", [
+        (b"{} x", "invalid JSON (Extra data)"),
+        (b'{"id": "u2",', "invalid JSON (Expecting property name enclosed in double quotes)"),
+        (b"\xef\xbb\xbf{}", "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        (b'{"id": "u\xe92"}', "not UTF-8 text (invalid continuation byte)"),
+        (b"[1, 2]", "record is not a JSON object"),
+    ], ids=["trailing_junk", "value_over_two_lines", "bom", "not_utf8", "array"])
+    def test_line_fault_messages(self, tmp_path, line, message):
+        # The second line of a value spanning two lines is never reached.
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(json.dumps(canonical_row("u1")).encode() + b"\n" + line
+                         + b'\n "lang": "en"}\n')
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path, "canonical")
+        assert str(info.value) == f"{path}:2: {message}"
+
+    def test_fields_that_are_not_strings(self, tmp_path):
+        # Equal fields of other types than strings can stand for unequal strings
+        # (1 == True): each such record gets the label of its own fields.
+        path = tmp_path / "c.jsonl"
+        rows = [{**canonical_row(f"u{i}"), "scenario": value}
+                for i, value in enumerate([1, True, 1.0, 1, "1"])]
+        write_jsonl(path, rows)
+        loaded = load_corpus(path, "canonical").records
+        assert [u.label.scenario for u in loaded] == ["1", "true", "1.0", "1", "1"]
+        for utt, row in zip(loaded, rows):
+            assert utt.label == SemanticLabel.from_dict(row)
+        write_jsonl(path, rows + [{**canonical_row(7), "entities": [
+            {"type": 2, "filler": ["seven"]}]}])
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path, "canonical")
+        assert str(info.value) == (f"{path}:6: record '7': gold label has a delimiter "
+                                   "character in entity field \"['seven']\"")
 
     def test_validate_corpus_checks_records_and_ids(self):
         bad = Corpus(name="c", lang="en", records=[make_utt("u1", "play x", "music|x")])

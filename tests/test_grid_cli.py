@@ -867,6 +867,24 @@ class TestCli:
         if exit_code:
             assert capsys.readouterr().err.startswith(f"error: {gold}:3: record 'u3': gold label")
 
+    @pytest.mark.parametrize("change,message", [
+        ({"id": "u1"}, "duplicate record id 'u1'"),
+        ({"lang": "de"}, "record 'u3': lang 'de' != corpus lang 'en'"),
+    ], ids=["duplicate_id", "foreign_lang"])
+    def test_gold_id_or_lang_fault_exit_1_at_its_line(self, tmp_path, capsys, change,
+                                                     message):
+        gold = tmp_path / "gold.jsonl"
+        rows = [{"id": f"u{i}", "lang": "en", "split": "test", "text": "wake me up",
+                 "scenario": "alarm", "action": "set", "entities": []} for i in (1, 2, 3, 4)]
+        rows[2].update(change)
+        gold.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"utt_id": "u1", "pred_raw": "alarm|set"}) + "\n")
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:3: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("content", [
         "{not json", json.dumps({"kind": "model_state"}), json.dumps([1]),
     ], ids=["not_json", "missing_field", "array"])
@@ -958,6 +976,67 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: manifest enumerates no cell (check its schemes, speech levels and "
             "cross-lingual modes)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["schemes", "speech_levels", "seeds", "targets",
+                                       "modes", "massive"])
+    def test_list_field_that_is_not_an_array_exit_1_before_any_cell(
+            self, syn_path, tmp_path, capsys, field):
+        # tuple("de") would read a string as the list of its characters.
+        manifest = manifest_to_dict(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)))
+        manifest["crosslingual"] = {"source": "syn", "targets": [], "modes": ["T"]}
+        xl = field in ("targets", "modes", "massive")
+        (manifest["crosslingual"] if xl else manifest)[field] = "de"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest field '{field}' is not an array (got 'de')\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("langs,xl,message", [
+        ({"fr": "fr", "de": "fr"}, {"targets": ["de"], "modes": ["T"]},
+         "source/target languages must be distinct (got ['fr', 'fr'])"),
+        ({"fr": "fr", "de": "de", "ko": "de"}, {"targets": ["de", "ko"], "modes": ["T"]},
+         "source/target languages must be distinct (got ['fr', 'de', 'de'])"),
+        ({"fr": "fr", "de": "de", "de_text": "fr"},
+         {"targets": ["de"], "modes": ["zero_shot", "T_M"], "massive": ["de_text"]},
+         "mode 'T_M': no text-only corpus for target lang 'de'"),
+        ({"fr": "fr", "de": "de"}, {"targets": ["de"], "modes": ["no_source_T_S_M"]},
+         "mode 'no_source_T_S_M': no text-only corpus for target lang 'de'"),
+    ], ids=["target_in_source_lang", "targets_in_one_lang", "massive_in_wrong_lang",
+            "no_massive"])
+    def test_crosslingual_languages_checked_once_before_any_cell(
+            self, tmp_path, capsys, langs, xl, message):
+        corpora = {}
+        for seed, (name, lang) in enumerate(langs.items()):
+            corpora[name] = str(tmp_path / f"{name}.jsonl")
+            save_corpus(make_synthetic_corpus(60, seed, lang=lang), corpora[name])
+        manifest = {"corpora": corpora, "schemes": ["text_only", "curriculum"],
+                    "speech_levels": [0.5], "seeds": [1], "epochs": 1,
+                    "crosslingual": {"source": "fr", "fewshot_pairs": 10, **xl}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_crosslingual_missing_corpus_exit_1_before_any_cell(self, tmp_path, capsys):
+        # The language checks read every corpus first: a missing one is one error.
+        save_corpus(make_synthetic_corpus(60, 0, lang="fr"), tmp_path / "fr.jsonl")
+        absent = tmp_path / "absent.jsonl"
+        manifest = {"corpora": {"fr": str(tmp_path / "fr.jsonl"), "de": str(absent)},
+                    "schemes": ["text_only"], "speech_levels": [0.5], "seeds": [1],
+                    "epochs": 1, "crosslingual": {"source": "fr", "targets": ["de"],
+                                                  "modes": ["zero_shot", "T"]}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["grid", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{absent}'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value,message", [

@@ -187,6 +187,38 @@ class TestOracleEquivalence:
         assert report.slu_f1 == pytest.approx(ref_slu, abs=1e-12)
 
 
+class _Twin(SemanticLabel):
+    """A label that equals no label of another class, so ``evaluate`` scores
+    it against its gold label without the exact-match shortcut."""
+
+    __slots__ = ()
+
+
+class TestExactMatchShortcut:
+    def test_scores_equal_oracle_and_full_path(self):
+        rng = random.Random(77)
+        triples = []
+        for _ in range(300):
+            scenario, action, ents = random_label(rng)
+            # Repeat entity types and whole entities, also the "scenario" type.
+            ents += [rng.choice(ents) for _ in range(rng.randint(0, 2))] if ents else []
+            gold = (scenario, action, ents)
+            pred = gold if rng.random() < 0.5 else random_pred(rng, gold)
+            triples.append((gold, pred))
+        records = [rec(str(i), to_label(g), to_label(p)) for i, (g, p) in enumerate(triples)]
+        assert sum(r.pred == r.gold for r in records) > 150
+        assert any(len({e.etype for e in r.gold.entities}) < len(r.gold.entities)
+                   for r in records if r.pred == r.gold)
+        report = evaluate(records)
+        full = evaluate([rec(r.utt_id, r.gold, r.pred if r.pred.unparseable
+                             else _Twin(r.pred.scenario, r.pred.action, r.pred.entities))
+                         for r in records])
+        assert report == full  # bit for bit
+        got = (report.intent_accuracy, report.entity_precision,
+               report.entity_recall, report.entity_f1, report.slu_f1)
+        assert got == pytest.approx(ref_evaluate(triples), abs=1e-12)
+
+
 class TestInvariances:
     def _random_records(self, seed, n=40):
         rng = random.Random(seed)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -327,6 +328,17 @@ class TestSerializationAndEstimator:
         assert model_to_dict(loaded) == model_to_dict(model)
         text = "music utterance number 1 play please"
         assert predict(loaded, text) == predict(model, text)
+
+    @pytest.mark.parametrize("scheme,p", [("text_only", 0.0), ("direct", 0.5)])
+    def test_saved_bytes_are_the_encoders(self, tmp_path, scheme, p):
+        # save_model splices the base64 weights in at their key.
+        corpus = speech_train_corpus(30)
+        corpus.records.append(make_utt("q", 'say "weights": "" in café', 'quote "x"', "say"))
+        model = train(plan_for(corpus, scheme, p), corpus, desk_recipe(), SIM0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(model_to_dict(model),
+                                                              ensure_ascii=False)
 
     def test_foreign_feature_dim_rejected(self):
         corpus = speech_train_corpus(30)
