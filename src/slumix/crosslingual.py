@@ -24,7 +24,7 @@ only for duplicate ids: combining changes nothing else of validated records.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .corpus import Corpus, Utterance, _check_ids_and_lang, filter_split
 from .errors import ConfigError
@@ -79,8 +79,24 @@ def _fewshot_records(target: Corpus, fewshot_pairs: int, seed: int) -> list[Utte
     return [by_id[i] for i in order[:fewshot_pairs]]
 
 
+def check_languages(source: Corpus, targets: Sequence[Corpus], massive: Sequence[Corpus],
+                    modes: Sequence[str]) -> None:
+    """The language rules of combined corpora: the source and the targets are
+    in distinct languages, and if any of ``modes`` trains on text-only corpora
+    (``T_M``, ``T_S_M`` and their ``no_source_`` forms), ``massive`` holds one
+    in each target's language."""
+    langs = [source.lang] + [t.lang for t in targets]
+    if len(set(langs)) != len(langs):
+        raise ConfigError(f"source/target languages must be distinct (got {langs})")
+    mode = next((mode for mode in modes if mode.endswith("_M")), None)
+    have = {c.lang for c in massive}
+    missing = [lang for lang in langs[1:] if lang not in have]
+    if mode is not None and missing:
+        raise ConfigError(f"mode {mode!r}: no text-only corpus for target lang {missing[0]!r}")
+
+
 def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
-                             massive_text: Union[Corpus, Sequence[Corpus], None] = None,
+                             massive_text: Optional[Sequence[Corpus]] = None,
                              mode: str = "zero_shot",
                              fewshot_pairs: int = DEFAULT_FEWSHOT_PAIRS,
                              seed: int = 0, parts: Optional[CorpusParts] = None) -> Corpus:
@@ -97,9 +113,6 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
                           f"(expected one of {CROSSLINGUAL_MODES})")
     if fewshot_pairs < 0:
         raise ConfigError(f"fewshot_pairs must be >= 0 (got {fewshot_pairs})")
-    langs = [source.lang] + [t.lang for t in targets]
-    if len(set(langs)) != len(langs):
-        raise ConfigError(f"source/target languages must be distinct (got {langs})")
 
     base = mode
     use_source = not mode.startswith("no_source_")
@@ -111,6 +124,9 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
 
     if use_targets and not targets:
         raise ConfigError(f"mode {mode!r} requires target corpora")
+    if use_massive and massive_text is None:
+        raise ConfigError(f"mode {mode!r} requires target-language text corpora")
+    check_languages(source, targets, massive_text or (), (mode,))
 
     parts = CorpusParts() if parts is None else parts
     records: list[Utterance] = []
@@ -126,15 +142,9 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
                                      keep_speech=use_speech))
 
     if use_massive:
-        if massive_text is None:
-            raise ConfigError(f"mode {mode!r} requires target-language text corpora")
-        massive = [massive_text] if isinstance(massive_text, Corpus) else list(massive_text)
-        by_lang = {c.lang: c for c in massive}
+        by_lang = {c.lang: c for c in massive_text}
         for target in targets:
-            extra = by_lang.get(target.lang)
-            if extra is None:
-                raise ConfigError(
-                    f"mode {mode!r}: no text-only corpus for target lang {target.lang!r}")
+            extra = by_lang[target.lang]
             records += parts.get(extra, ("train",), lambda: _namespaced(
                 extra.name, filter_split(extra, "train").records, keep_speech=False))
 

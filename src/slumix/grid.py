@@ -41,6 +41,7 @@ from .crosslingual import (
     CROSSLINGUAL_MODES,
     DEFAULT_FEWSHOT_PAIRS,
     CorpusParts,
+    check_languages,
     make_crosslingual_corpus,
 )
 from .errors import ConfigError, MetricsError, StatsError, TrainError
@@ -291,14 +292,20 @@ def score_prediction_rows(rows, gold: dict) -> MetricReport:
     return evaluate(records)
 
 
+def _speech_ordering(train_view: Corpus, seed: int) -> list[str]:
+    """The seeded permutation of a train split's speech ids, whose prefixes are
+    the nested speech subsets of both grid kinds' levels."""
+    pool = [u.id for u in speech_items(train_view)]
+    return nested_permutation(pool, derive_seed(seed, "speech-selection"))
+
+
 def make_plan_for_corpus(corpus: Corpus, scheme: str, level: float, seed: int,
                          epochs: int) -> MixPlan:
     train_view = filter_split(corpus, "train")
     text_ids = [u.id for u in text_items(train_view)]
-    speech_ids = [u.id for u in speech_items(train_view)]
-    ordering = nested_permutation(speech_ids, derive_seed(seed, "speech-selection"))
+    ordering = _speech_ordering(train_view, seed)
     config = SchedulerConfig(scheme=scheme, p=0.0 if scheme == "text_only" else level,
-                             epochs=epochs, seed=seed, n_speech=len(speech_ids))
+                             epochs=epochs, seed=seed, n_speech=len(ordering))
     return build_plan(config, text_ids, ordering)
 
 
@@ -478,10 +485,8 @@ def _run_mono_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: P
 def _restrict_source_speech(source: Corpus, level: float, seed: int) -> Corpus:
     """Keep only the nested speech subset at the given level; records outside
     it stay as text-only (speech_ref stripped)."""
-    train_view = filter_split(source, "train")
-    pool = [u.id for u in speech_items(train_view)]
-    ordering = nested_permutation(pool, derive_seed(seed, "speech-selection"))
-    keep = set(ordering[:speech_budget(len(pool), level)])
+    ordering = _speech_ordering(filter_split(source, "train"), seed)
+    keep = set(ordering[:speech_budget(len(ordering), level)])
     records = []
     for r in source.records:
         if r.split == "train" and r.has_speech and r.id not in keep:
@@ -498,7 +503,7 @@ def _run_xl_cell(manifest: ExperimentManifest, inputs: _GridInputs, out_dir: Pat
         massive = [inputs.corpus(name) for name in xl.massive]
         combined = make_crosslingual_corpus(
             _restrict_source_speech(inputs.corpus(xl.source), level, seed), targets,
-            massive or None, mode,
+            massive, mode,
             fewshot_pairs=xl.fewshot_pairs, seed=derive_seed(seed, "fewshot-selection"),
             parts=inputs.parts)
         scheme = "curriculum" if any(r.has_speech for r in combined.records) else "text_only"
@@ -526,34 +531,27 @@ class GridOutcome:
         return not self.failures
 
 
-def _check_languages(xl: CrossLingualSpec, inputs: _GridInputs) -> None:
-    """The language checks of ``make_crosslingual_corpus``, once for all cells."""
-    langs = [inputs.corpus(name).lang for name in (xl.source, *xl.targets)]
-    if len(set(langs)) != len(langs):
-        raise ConfigError(f"source/target languages must be distinct (got {langs})")
-    # T_M, T_S_M and their no_source_ forms train on the massive corpora.
-    mode = next((mode for mode in xl.modes if mode.endswith("_M")), None)
-    have = {inputs.corpus(name).lang for name in xl.massive} if mode else set(langs)
-    for lang in langs[1:]:
-        if lang not in have:
-            raise ConfigError(f"mode {mode!r}: no text-only corpus for target lang {lang!r}")
-
-
 def run_grid(manifest: ExperimentManifest, out_dir) -> GridOutcome:
     """Run every cell of the manifest (skipping finished ones), then
     aggregate its cells to CSV.
 
-    Any exception in a cell is recorded as that cell's failure (type, message
-    and traceback) and the grid continues; the outcome carries the failure
-    list so callers can exit nonzero. Each corpus is loaded once, on first use;
-    a cross-lingual grid's are checked for their languages before any cell.
+    Every corpus the cells read is loaded once, and a cross-lingual grid's
+    languages checked, before the runs directory is made: a fault there raises
+    before any cell. An exception in a cell is recorded as that cell's failure
+    (type, message and traceback) and the grid continues; the outcome carries
+    the failure list so callers can exit nonzero.
     """
     out = Path(out_dir)
     inputs = _GridInputs(manifest)
-    if manifest.crosslingual is not None:
-        _check_languages(manifest.crosslingual, inputs)
+    xl = manifest.crosslingual
+    corpora = {name: inputs.corpus(name)
+               for name in (manifest.corpora if xl is None
+                            else (xl.source, *xl.targets, *xl.massive))}
+    if xl is not None:
+        check_languages(corpora[xl.source], [corpora[name] for name in xl.targets],
+                        [corpora[name] for name in xl.massive], xl.modes)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _run_mono_cell if manifest.crosslingual is None else _run_xl_cell
+    runner = _run_mono_cell if xl is None else _run_xl_cell
     results, failures = [], []
     for cell in _grid_cells(manifest):
         try:

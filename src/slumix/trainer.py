@@ -165,18 +165,18 @@ class FeatureStore:
     for simulated speech. ``rows`` returns the row numbers of inputs;
     ``tokens``, ``indices`` and ``counts`` hold each row, its features in
     ``hashed_features`` order. ``phase1_states`` holds the state ``train``
-    reaches after curriculum's last phase-1 epoch (the bias and the weights
-    of the features seen so far, and the phase-1 training log), keyed by what
-    it is computed from, store rows included. One store may serve any number
-    of ``train`` and ``predict_records`` calls, since every row and state is
-    a pure function of its key; a grid run shares one."""
+    reaches after curriculum's last phase-1 epoch (the features phase 1 read,
+    the bias and their weight rows, and the phase-1 training log), keyed by
+    what it is computed from, store rows included. One store may serve any
+    number of ``train`` and ``predict_records`` calls, since every row and
+    state is a pure function of its key; a grid run shares one."""
 
     def __init__(self):
         self._rows: dict[Optional[SpeechSimConfig], dict[str, int]] = {}
         self.tokens: list[tuple[str, ...]] = []
         self.indices: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
-        self.phase1_states: dict[tuple, tuple[np.ndarray, list[dict]]] = {}
+        self.phase1_states: dict[tuple, tuple[np.ndarray, np.ndarray, list[dict]]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -255,22 +255,25 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     builds its own.
 
     The weights are one dense matrix whose row 0 is the bias and whose other
-    rows are the hashed features ranked by first occurrence in the item
-    stream, so a batch's new features take the next rows. Each batch is one
-    matrix step: its logits are one flat ``np.add.at`` and its gradient one
-    ``np.bincount`` over the batch's own distinct rows (one ``np.unique``
-    over every batch's (batch, row) pairs finds them before the first batch),
-    whose float sums run in the order of the per-item loop in
-    ``tests/reference_trainer.py``, so the model is the same bit for bit.
-    A batch's work therefore grows with its own entries, not the vocabulary.
+    rows are the model's ``features``, ascending. The bias starts at +0.0 and
+    each feature row at -0.0, so a batch subtracts its update from its rows:
+    ``-0.0 - y`` is ``-y`` for every float ``y``, the ``-scale * g`` that the
+    per-item loop stores at a feature's first update, and an untouched row
+    adds -0.0, which changes no logit. Each batch is one matrix step: its
+    logits are one flat ``np.add.at`` and its gradient one ``np.bincount``
+    over the batch's own distinct rows (one ``np.unique`` over every batch's
+    (batch, row) pairs finds them before the first batch), whose float sums
+    run in the order of the per-item loop in ``tests/reference_trainer.py``,
+    so the model is the same bit for bit. A batch's work therefore grows with
+    its own entries, not the vocabulary.
 
     When a phase-2 epoch follows phase 1 (curriculum), the state after the
     last phase-1 epoch also goes into the store, keyed by all it is computed
     from: the classes, the recipe, the batches of each phase-1 epoch and each
     phase-1 item's store row and target. A later call whose phase 1 has the
     same key, such as curriculum at another speech level of the same corpus
-    and seed, starts from that state at phase 2. Phase-1 features take the
-    lowest rows, so the cached weight rows fit any later call's matrix.
+    and seed, starts from that state at phase 2: the bias and the rows of the
+    features phase 1 read, restored by feature.
     """
     import numpy as np
     features = FeatureStore() if features is None else features
@@ -307,25 +310,17 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             slots[ent.etype] = slots.get(ent.etype, 0) + m
 
     # Row 0 of the weight matrix is the bias, which each item reads first
-    # with count 1; rows 1, 2, ... are the hashed features ranked by first
-    # occurrence in the store rows of keys 0, 1, ..., the order in which the
-    # stream first touches them, so a batch's new features have the highest rows.
+    # with count 1; row r >= 1 is the hashed feature vocab[r - 1].
     lens = np.array([len(features.indices[r]) for r in rows], dtype=np.intp)
     hashed = np.concatenate([features.indices[r] for r in rows])
-    distinct, inverse = np.unique(hashed, return_inverse=True)
-    first_at = np.full(len(distinct), len(hashed))
-    np.minimum.at(first_at, inverse, np.arange(len(hashed)))
-    by_first = np.argsort(first_at)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(1, len(distinct) + 1)
-    vocab = distinct[by_first]  # weight row - 1 -> hashed feature
+    vocab, inverse = np.unique(hashed, return_inverse=True)
     # Key k's entries, its bias first: weight rows key_feats[indptr[k]:indptr[k + 1]]
     # read with counts key_counts[indptr[k]:indptr[k + 1]].
     indptr = np.concatenate(([0], np.cumsum(lens + 1)))
     is_feature = np.ones(indptr[-1], dtype=bool)
     is_feature[indptr[:-1]] = False
     key_feats = np.zeros(indptr[-1], dtype=np.intp)
-    key_feats[is_feature] = rank[inverse]
+    key_feats[is_feature] = inverse + 1
     key_counts = np.ones(indptr[-1])
     key_counts[is_feature] = np.concatenate([features.counts[r] for r in rows])
 
@@ -346,8 +341,8 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     speech_at = np.concatenate(([0], np.cumsum(np.array(spoken, dtype=np.intp)[stream])))
     epoch_speech = np.diff(speech_at[item_at]).tolist()
 
-    weights = np.zeros((len(vocab) + 1, n_classes))
-    touched = 1  # weight rows below this have had an update
+    weights = np.full((len(vocab) + 1, n_classes), -0.0)
+    weights[0] = 0.0
     train_log: list[dict] = []
     step_in_phase = {1: 0, 2: 0}
     start = skip = 0  # first epoch and first batch to run
@@ -359,9 +354,8 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
                       np.array(rows)[phase1].tobytes(), targets[phase1].tobytes())
         cached = features.phase1_states.get(phase1_key)
         if cached is not None:
-            touched_rows, log = cached
-            touched = len(touched_rows)
-            weights[:touched] = touched_rows
+            phase1_feats, phase1_rows, log = cached
+            weights[np.append(0, np.searchsorted(vocab, phase1_feats) + 1)] = phase1_rows
             train_log = [dict(rec) for rec in log]
             step_in_phase[1] = phase_steps[1]
             start, skip = split, sum(epoch_lens[:split])
@@ -391,8 +385,6 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
     uniq_at = np.searchsorted(uniq, np.arange(len(run_lens) + 1) * n_rows)
     entry_slot -= uniq_at[entry_batch]
     uniq %= n_rows
-    # once batch j has run, the weight rows below hi_at[j] have had an update
-    hi_at = np.maximum(np.maximum.accumulate(uniq[uniq_at[1:] - 1]) + 1, touched).tolist()
     entry_at = entry_start[batch_at].tolist()
     batch_at, uniq_at = batch_at.tolist(), uniq_at.tolist()
     del entries, entry_batch, item_batch
@@ -411,7 +403,7 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             step_in_phase[phase] += 1
             i0, i1 = batch_at[j], batch_at[j + 1]
             n0, n1 = entry_at[j], entry_at[j + 1]
-            n_items, hi = i1 - i0, hi_at[j]
+            n_items = i1 - i0
             batch_counts = entry_counts[n0:n1]
             batch_targets = target_at[i0:i1]
 
@@ -439,13 +431,7 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             grad = np.bincount((grad_at[n0:n1, None] + class_cols).ravel(), terms.ravel(),
                                len(batch_uniq) * n_classes).reshape(-1, n_classes)
             grad *= lr / n_items
-            # Rows first touched here are the block's tail, rows touched..hi-1.
-            # A feature's first update sets it to -scale * g, keeping the sign
-            # of zero that the per-item dict of weights would store.
-            first = len(batch_uniq) - (hi - touched)
-            weights[batch_uniq[:first]] -= grad[:first]
-            np.negative(grad[first:], out=weights[touched:hi])
-            touched = hi
+            weights[batch_uniq] -= grad
             j += 1
         n_items, n_speech = epoch_items[e0], epoch_speech[e0]
         i0, i1 = item_at[e0] - item_at[start], item_at[e0 + 1] - item_at[start]
@@ -458,11 +444,14 @@ def train(plan: MixPlan, corpus: Corpus, recipe: TrainRecipe,
             "train_intent_accuracy": hits / n_items if n_items else 0.0,
         })
         if e0 + 1 == split:
-            features.phase1_states[phase1_key] = (weights[:touched].copy(),
+            # Phase 1 ran as batches 0..j-1; the bias is cached even if it had no items.
+            read = np.zeros(len(weights), dtype=bool)
+            read[np.append(0, uniq[:uniq_at[j]])] = True
+            at = np.flatnonzero(read)
+            features.phase1_states[phase1_key] = (vocab[at[1:] - 1], weights[at],
                                                   [dict(rec) for rec in train_log])
-    order = np.argsort(vocab)
-    model = ModelState(classes=classes, bias=weights[0].copy(), features=vocab[order],
-                       weights=weights[1:][order], filler_lexicon=lexicon,
+    model = ModelState(classes=classes, bias=weights[0].copy(), features=vocab,
+                       weights=weights[1:], filler_lexicon=lexicon,
                        prior_intent=min(intent_counts, key=lambda c: (-intent_counts[c], c)),
                        train_log=train_log, sim=sim)
 

@@ -13,6 +13,7 @@ import pytest
 import slumix
 import slumix.grid
 import slumix.trainer
+from conftest import make_corpus, make_utt
 from slumix import (
     Corpus,
     Entity,
@@ -35,7 +36,7 @@ from slumix.grid import (
     read_rows_csv,
     run_grid,
 )
-from slumix.errors import ConfigError
+from slumix.errors import ConfigError, CorpusFormatError
 from slumix.scheduler import derive_seed
 from slumix.trainer import FeatureStore, SpeechSimConfig
 
@@ -228,19 +229,27 @@ class TestRunGrid:
         assert not outcome.ok
         assert outcome.cells_run == 0
 
-    def test_missing_corpus_fails_each_cell(self, tmp_path):
-        manifest = mini_manifest(tmp_path / "absent.jsonl")
-        outcome = run_grid(manifest, tmp_path / "runs")
-        assert outcome.cells_run == 0
-        assert len(outcome.failures) == 10
-        assert {f["type"] for f in outcome.failures} == {"FileNotFoundError"}
-        assert (tmp_path / "runs" / "aggregate.csv").read_text() == \
-            ",".join(CSV_COLUMNS) + "\n"
+    @pytest.mark.parametrize("fault,error", [("missing", FileNotFoundError),
+                                             ("malformed", CorpusFormatError)],
+                             ids=["missing", "malformed"])
+    def test_bad_corpus_exit_1_before_any_cell(self, syn_path, tmp_path, capsys,
+                                               fault, error):
+        # Every corpus is read before the runs directory is made, so a bad one
+        # listed after a good one fails the grid once, before any cell.
+        bad = tmp_path / "bad.jsonl"
+        if fault == "malformed":
+            bad.write_text("{not json\n")
+        manifest = mini_manifest(syn_path, corpora={"syn": str(syn_path), "zz": str(bad)})
+        with pytest.raises(error):
+            run_grid(manifest, tmp_path / "runs")
+        assert not (tmp_path / "runs").exists()
         manifest_path = tmp_path / "m.json"
         manifest_path.write_text(json.dumps(manifest_to_dict(manifest)))
         assert main(["grid", "--config", str(manifest_path),
                      "--out", str(tmp_path / "cli")]) == 1
-        assert (tmp_path / "cli" / "aggregate.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+        assert not (tmp_path / "cli").exists()
 
 
 class TestCellIdentity:
@@ -426,12 +435,14 @@ class TestCellIdentity:
         assert reads == {"meta.json": 1, "report.json": 1}
 
     def test_failure_records_traceback(self, tmp_path):
-        outcome = run_grid(mini_manifest(tmp_path / "absent.jsonl", seeds=(1,)),
-                           tmp_path / "runs")
+        # A corpus with no train split loads, but no cell can train on it.
+        path = tmp_path / "test_only.jsonl"
+        save_corpus(make_corpus([make_utt("u1", "wake me at seven am", split="test")]), path)
+        outcome = run_grid(mini_manifest(path, seeds=(1,)), tmp_path / "runs")
         failure = outcome.failures[0]
         assert failure["cell"] == "syn__text_only__p0__s1"
         assert failure["traceback"].startswith("Traceback")
-        assert "FileNotFoundError" in failure["traceback"]
+        assert "TrainError: plan contains no training items" in failure["traceback"]
 
 
 def xl_manifest(tmp, seeds=(1,)):
@@ -653,7 +664,7 @@ class TestCli:
         commands = [
             ["synth", "--n", "50", "--out", f"{d}/s.jsonl"],
             ["ingest", "--in", syn, "--profile", "canonical", "--out", f"{d}/i.jsonl"],
-            ["plan", "--scheme", "direct", "--p", "0.5", "--epochs", "1", "--seed", "1",
+            ["plan", "--scheme", "curriculum", "--p", "0.5", "--epochs", "2", "--seed", "1",
              "--corpus", syn, "--out", f"{d}/plan.json"],
             ["export-manifest", "--plan", f"{d}/plan.json", "--corpus-ref", syn,
              "--out", f"{d}/export.json"],
@@ -663,10 +674,12 @@ class TestCli:
             ["report", "--agg", f"{d}/agg.csv", "--style", "monolingual",
              "--out-prefix", f"{d}/table"],
         ]
+        # Training the curriculum plan caches its phase-1 state, which loads no numpy.ma.
         train = ["train", "--plan", f"{d}/plan.json", "--corpus", syn,
                  "--out", f"{d}/model.json"]
         code = ("import sys, slumix, slumix.cli; "
-                "loaded = lambda: [m for m in ('numpy', 'scipy') if m in sys.modules]; "
+                "loaded = lambda: [m for m in ('numpy', 'numpy.ma', 'scipy') "
+                "if m in sys.modules]; "
                 "seen = [loaded()]; "
                 f"codes = [slumix.cli.main(argv) for argv in {commands!r}]; "
                 "seen.append(loaded()); "

@@ -225,6 +225,21 @@ def test_reused_phase1_state_runs_only_the_final_epoch(synthetic, monkeypatch):
     assert steps == [2] * len(epoch_batches(plans[1], 3, 16, 1))
 
 
+def test_curriculum_without_text_items_reuses_its_empty_phase1(synthetic):
+    # With no text ids, the phase-1 epochs have no items: their state is the
+    # untouched bias alone, which the second call restores.
+    speech_ids = [u.id for u in synthetic.records if u.split == "train" and u.has_speech]
+    config = SchedulerConfig(scheme="curriculum", p=0.25, epochs=3, seed=1,
+                             n_speech=len(speech_ids))
+    plan = build_plan(config, [], speech_ids)
+    assert not plan.epochs[0].text_item_ids and not plan.epochs[0].speech_item_ids
+    store = FeatureStore()
+    want = reference_trainer.train(plan, synthetic, desk_recipe(), SIM)
+    for _ in range(2):
+        assert_same_model(train(plan, synthetic, desk_recipe(), SIM, store), want)
+    assert len(store.phase1_states) == 1
+
+
 @pytest.mark.parametrize("oracle_transcripts", [False, True])
 def test_predict_records_with_shared_store(synthetic, oracle_transcripts):
     sim = SpeechSimConfig(seed=1)
