@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import grid as gridmod
@@ -21,6 +23,7 @@ from .corpus import (
     load_corpus,
     read_records,
     save_corpus,
+    write_records,
 )
 from .errors import CorpusFormatError, SlumixError
 from .grid import (
@@ -54,12 +57,29 @@ class _Log:
 
 
 def _cmd_ingest(args, log: _Log) -> int:
-    corpus = load_corpus(args.infile, args.profile, name=args.name,
-                         pairing=args.pairing, default_lang=args.lang)
-    save_corpus(corpus, args.out)
-    counts = {f"{split}_{kind}": n for split, by_kind in corpus_stats(corpus).items()
+    # One pass: each record is read and checked, written to <out>.tmp, then
+    # counted; the file replaces --out only after the last record.
+    records = read_records(args.infile, args.profile, pairing=args.pairing,
+                           default_lang=args.lang)
+    first = next(records)  # its language is the corpus's; an empty file raises here
+    total = 0
+
+    def numbered():
+        nonlocal total
+        for total, utt in enumerate(chain((first,), records), 1):
+            yield utt
+
+    tmp = Path(f"{args.out}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            stats = corpus_stats(write_records(numbered(), f))
+        os.replace(tmp, args.out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    counts = {f"{split}_{kind}": n for split, by_kind in stats.items()
               for kind, n in by_kind.items()}
-    log.emit("ingested", records=len(corpus), lang=corpus.lang, **counts, out=str(args.out))
+    log.emit("ingested", records=total, lang=first.lang, **counts, out=str(args.out))
     return 0
 
 
@@ -105,13 +125,16 @@ def _cmd_predict(args, log: _Log) -> int:
 
 
 def _cmd_evaluate(args, log: _Log) -> int:
-    gold = {utt.id: utt.label for utt in read_records(args.gold, "canonical")}
     rows = []
     for lineno, row in _load_jsonl(args.pred):
         if not isinstance(row.get("utt_id"), str) or "pred_raw" not in row:
             raise CorpusFormatError("prediction row needs a string 'utt_id' and a 'pred_raw'",
                                     args.pred, lineno)
         rows.append(row)
+    # Every gold record is read and checked; only the predicted ids' labels are kept.
+    wanted = {row["utt_id"] for row in rows}
+    gold = {utt.id: utt.label for utt in read_records(args.gold, "canonical")
+            if utt.id in wanted}
     report = score_prediction_rows(rows, gold)
     write_report(args.out, report_to_dict(report))
     log.emit("evaluated", n=report.counts["n_utts"],
@@ -173,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pairing", choices=("all", "one"), default="all",
                    help="SLURP recordings per transcript to keep")
-    p.add_argument("--name", default=None)
     p.add_argument("--lang", default="en")
     p.set_defaults(func=_cmd_ingest)
 

@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 from .corpus import Corpus, Utterance, _check_ids_and_lang, filter_split
 from .errors import ConfigError
 from .scheduler import derive_seed, nested_permutation
+from .trainer_recipes import is_int
 
 CROSSLINGUAL_MODES = (
     "zero_shot",
@@ -79,6 +80,19 @@ def _fewshot_records(target: Corpus, fewshot_pairs: int, seed: int) -> list[Utte
     return [by_id[i] for i in order[:fewshot_pairs]]
 
 
+def check_settings(modes: Sequence[str], fewshot_pairs) -> None:
+    """The rules of combined corpora's settings: every one of ``modes`` is in
+    ``CROSSLINGUAL_MODES``, and ``fewshot_pairs`` is an integer >= 0."""
+    for mode in modes:
+        if mode not in CROSSLINGUAL_MODES:
+            raise ConfigError(f"unknown cross-lingual mode {mode!r} "
+                              f"(expected one of {CROSSLINGUAL_MODES})")
+    if not is_int(fewshot_pairs):
+        raise ConfigError(f"fewshot_pairs must be an integer (got {fewshot_pairs!r})")
+    if fewshot_pairs < 0:
+        raise ConfigError(f"fewshot_pairs must be >= 0 (got {fewshot_pairs})")
+
+
 def check_languages(source: Corpus, targets: Sequence[Corpus], massive: Sequence[Corpus],
                     modes: Sequence[str]) -> None:
     """The language rules of combined corpora: the source and the targets are
@@ -108,11 +122,7 @@ def make_crosslingual_corpus(source: Corpus, targets: Sequence[Corpus],
     validated corpora, as ``load_corpus`` returns them. Target-side parts
     come from ``parts`` (a store of its own if None).
     """
-    if mode not in CROSSLINGUAL_MODES:
-        raise ConfigError(f"unknown cross-lingual mode {mode!r} "
-                          f"(expected one of {CROSSLINGUAL_MODES})")
-    if fewshot_pairs < 0:
-        raise ConfigError(f"fewshot_pairs must be >= 0 (got {fewshot_pairs})")
+    check_settings((mode,), fewshot_pairs)
 
     base = mode
     use_source = not mode.startswith("no_source_")

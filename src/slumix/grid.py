@@ -38,10 +38,10 @@ from .corpus import (
     text_items,
 )
 from .crosslingual import (
-    CROSSLINGUAL_MODES,
     DEFAULT_FEWSHOT_PAIRS,
     CorpusParts,
     check_languages,
+    check_settings,
     make_crosslingual_corpus,
 )
 from .errors import ConfigError, MetricsError, StatsError, TrainError
@@ -85,14 +85,7 @@ class CrossLingualSpec:
     fewshot_pairs: int = DEFAULT_FEWSHOT_PAIRS
 
     def __post_init__(self):
-        for mode in self.modes:
-            if mode not in CROSSLINGUAL_MODES:
-                raise ConfigError(f"unknown cross-lingual mode {mode!r} "
-                                  f"(expected one of {CROSSLINGUAL_MODES})")
-        if not is_int(self.fewshot_pairs):
-            raise ConfigError(f"fewshot_pairs must be an integer (got {self.fewshot_pairs!r})")
-        if self.fewshot_pairs < 0:
-            raise ConfigError(f"fewshot_pairs must be >= 0 (got {self.fewshot_pairs})")
+        check_settings(self.modes, self.fewshot_pairs)
         roles: dict[str, str] = {}  # a corpus in two roles would fail cells at run time
         for role, names in (("source", (self.source,)), ("target", self.targets),
                             ("massive", self.massive)):

@@ -408,15 +408,17 @@ class TestMassiveProfile:
         stats = corpus_stats(load_corpus(path, "massive"))
         assert stats == {
             "train": {"text": 11514, "speech": 11514},
-            "dev": {"text": 2033, "speech": 2033},
-            "test": {"text": 2974, "speech": 2974},
+            "dev": {"text": 2033, "speech": 2033, "in_train": 0},
+            "test": {"text": 2974, "speech": 2974, "in_train": 0},
         }
 
 
 class TestStatsAndViews:
     def test_empty_corpus_all_zeros(self):
         stats = corpus_stats(Corpus(name="empty", lang="en", records=[]))
-        assert all(v == {"text": 0, "speech": 0} for v in stats.values())
+        assert stats == {"train": {"text": 0, "speech": 0},
+                         "dev": {"text": 0, "speech": 0, "in_train": 0},
+                         "test": {"text": 0, "speech": 0, "in_train": 0}}
 
     def test_three_records_one_speech(self):
         corpus = make_corpus([
@@ -425,6 +427,23 @@ class TestStatsAndViews:
             make_utt("c", "five six", speech=True),
         ])
         assert corpus_stats(corpus)["train"] == {"text": 3, "speech": 1}
+
+    def test_in_train_counts_dev_and_test_records_whose_text_is_in_train(self):
+        # Train records may come after the dev and test records that share their text.
+        corpus = make_corpus([
+            make_utt("a", "seen earlier"),
+            make_utt("d1", "seen later", split="dev"),
+            make_utt("d2", "seen later", split="dev", speech=True),
+            make_utt("d3", "only in dev", split="dev"),
+            make_utt("t1", "seen earlier", split="test", speech=True),
+            make_utt("t2", "only in dev", split="test"),
+            make_utt("b", "seen later", speech=True),
+        ])
+        stats = corpus_stats(corpus)
+        assert stats == {"train": {"text": 2, "speech": 1},
+                         "dev": {"text": 2, "speech": 1, "in_train": 2},
+                         "test": {"text": 2, "speech": 1, "in_train": 1}}
+        assert corpus_stats(iter(corpus.records)) == stats  # any iterable, read once
 
     def test_filter_split_preserves_order(self):
         corpus = make_corpus([
@@ -548,4 +567,20 @@ class TestSaveCorpus:
         save_corpus(corpus, path)
         expected = "".join(json.dumps(u.to_dict(), ensure_ascii=False) + "\n"
                            for u in corpus.records)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_stream_of_fresh_labels_matches_per_record_dumps(self, tmp_path):
+        # Each record's label is freed once the record is written and handed
+        # on, so a later label may be built at its address: the encoding cache
+        # must not take the new label for the freed one.
+        def records():
+            for i in range(2000):
+                yield Utterance(id=f"u{i}", lang="en", split="train", text=f"wake me at {i}",
+                                label=SemanticLabel("alarm", f"set {i}",
+                                                    (Entity("time", f"{i} am"),)))
+
+        path = tmp_path / "c.jsonl"
+        save_corpus(records(), path)
+        expected = "".join(json.dumps(u.to_dict(), ensure_ascii=False) + "\n"
+                           for u in records())
         assert path.read_bytes() == expected.encode("utf-8")

@@ -19,6 +19,8 @@ from slumix import (
     Entity,
     SemanticLabel,
     Utterance,
+    corpus_stats,
+    load_corpus,
     make_synthetic_corpus,
     save_corpus,
     serialize_label,
@@ -761,6 +763,77 @@ class TestCli:
             "train_text": 2, "train_speech": 2, "dev_text": 0, "dev_speech": 0,
             "test_text": 1, "test_speech": 3}
 
+    @staticmethod
+    def _ingest_source(tmp_path, profile):
+        """A source file whose dev and test records share transcripts with
+        train records that come later in the file."""
+        src = tmp_path / f"{profile}.jsonl"
+        texts = ["wake me at seven am", "play queen", "what is the weather", "wake me at seven am"]
+        if profile == "slurp":
+            rows = [{"slurp_id": i, "sentence": text, "scenario": "alarm", "action": "set",
+                     "sentence_annotation": text.replace("seven am", "[time : seven am]"),
+                     "partition": split, "recordings": [f"{i}-{r}.flac" for r in range(n)],
+                     "entities": [{"type": "time", "span": [3, 4]}] if "seven" in text else []}
+                    for i, (text, split, n) in enumerate(zip(
+                        texts + ["play queen"], ["devel", "test", "train", "train", "train"],
+                        [2, 0, 3, 1, 2]))]
+        elif profile == "massive":
+            rows = [{"id": str(i), "locale": "fr-FR", "partition": split, "utt": text,
+                     "annot_utt": text.replace("seven am", "[time : seven am]"),
+                     "intent": "alarm_set", **({"path": f"{i}.wav"} if i % 2 else {})}
+                    for i, (text, split) in enumerate(zip(
+                        texts + ["play queen"], ["dev", "test", "train", "train", "train"]))]
+        else:
+            rows = [{"id": f"u{i}", "lang": "en", "split": split, "text": text,
+                     "scenario": "alarm", "action": "set", "entities": [],
+                     **({"speech_ref": f"{i}.wav"} if i % 2 else {})}
+                    for i, (text, split) in enumerate(zip(
+                        texts + ["play queen"], ["dev", "test", "test", "train", "train"]))]
+        src.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return src
+
+    @pytest.mark.parametrize("profile,pairing", [
+        ("slurp", "all"), ("slurp", "one"), ("massive", "all"), ("canonical", "all"),
+    ], ids=["slurp_all", "slurp_one", "massive", "canonical"])
+    def test_ingest_equals_load_then_save(self, tmp_path, capsys, profile, pairing):
+        src = self._ingest_source(tmp_path, profile)
+        out = tmp_path / "out.jsonl"
+        assert main(["--json", "ingest", "--in", str(src), "--profile", profile,
+                     "--pairing", pairing, "--out", str(out)]) == 0
+        corpus = load_corpus(src, profile, pairing=pairing)
+        save_corpus(corpus, tmp_path / "expected.jsonl")
+        assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        counts = {f"{split}_{kind}": n for split, by_kind in corpus_stats(corpus).items()
+                  for kind, n in by_kind.items()}
+        assert json.loads(capsys.readouterr().out) == {
+            "event": "ingested", "records": len(corpus), "lang": corpus.lang, **counts,
+            "out": str(out)}
+        assert counts["dev_in_train"] > 0 and counts["test_in_train"] > 0
+        assert not Path(f"{out}.tmp").exists()
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["no_out", "existing_out"])
+    def test_malformed_last_slurp_line_writes_nothing(self, tmp_path, capsys, existing):
+        src = self._ingest_source(tmp_path, "slurp")
+        src.write_text(src.read_text() + "{not json\n")
+        out = tmp_path / "out.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["ingest", "--in", str(src), "--profile", "slurp", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:6: invalid JSON")
+        assert len(err.splitlines()) == 1
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["slurp.jsonl"] + (["out.jsonl"] if existing else []))
+
+    def test_in_place_canonical_ingest_keeps_the_bytes(self, syn_path, tmp_path):
+        path = tmp_path / "syn.jsonl"
+        shutil.copy(syn_path, path)
+        assert main(["ingest", "--in", str(path), "--profile", "canonical",
+                     "--out", str(path)]) == 0
+        assert path.read_bytes() == syn_path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["syn.jsonl"]
+
     def test_grid_command_and_resume(self, syn_path, tmp_path, capsys):
         manifest_path = tmp_path / "m.json"
         manifest_path.write_text(json.dumps(manifest_to_dict(
@@ -897,6 +970,32 @@ class TestCli:
                      "--out", str(tmp_path / "r.json")]) == 1
         assert capsys.readouterr().err == f"error: {gold}:3: {message}\n"
         assert not (tmp_path / "r.json").exists()
+
+    def test_prediction_for_unknown_id_exit_1(self, syn_path, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"utt_id": "nope", "pred_raw": "alarm|set"}) + "\n")
+        assert main(["evaluate", "--gold", str(syn_path), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == "error: prediction for unknown utterance 'nope'\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bad_predictions_reported_before_bad_gold(self, tmp_path, capsys):
+        # The predictions are read first, so their fault is the one reported.
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps({
+            "id": "u1", "lang": "en", "split": "test", "text": "wake me up",
+            "scenario": "alarm", "action": "set", "entities": []}) + "\n" for _ in range(2)))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"utt_id": "u1", "pred_raw": "alarm|set"}) + "\n"
+                         + json.dumps({"utt_id": "u1"}) + "\n")
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {preds}:2: prediction row needs a string 'utt_id' and a 'pred_raw'\n")
+        preds.write_text(json.dumps({"utt_id": "u1", "pred_raw": "alarm|set"}) + "\n")
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:2: duplicate record id 'u1'\n"
 
     @pytest.mark.parametrize("content", [
         "{not json", json.dumps({"kind": "model_state"}), json.dumps([1]),
