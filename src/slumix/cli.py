@@ -7,10 +7,12 @@ With ``--json``, progress and result lines are emitted as JSON objects.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import stat
 import sys
-from itertools import chain
+import tempfile
 from pathlib import Path
 
 from . import grid as gridmod
@@ -18,12 +20,10 @@ from .corpus import (
     PROFILES,
     SPLITS,
     _load_jsonl,
-    corpus_stats,
     filter_split,
     load_corpus,
     read_records,
     save_corpus,
-    write_records,
 )
 from .errors import CorpusFormatError, SlumixError
 from .grid import (
@@ -56,30 +56,47 @@ class _Log:
             print(f"{event}: {detail}" if detail else event)
 
 
-def _cmd_ingest(args, log: _Log) -> int:
-    # One pass: each record is read and checked, written to <out>.tmp, then
-    # counted; the file replaces --out only after the last record.
-    records = read_records(args.infile, args.profile, pairing=args.pairing,
-                           default_lang=args.lang)
-    first = next(records)  # its language is the corpus's; an empty file raises here
-    total = 0
-
-    def numbered():
-        nonlocal total
-        for total, utt in enumerate(chain((first,), records), 1):
-            yield utt
-
-    tmp = Path(f"{args.out}.tmp")
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file open for writing that replaces ``path`` (a symlink's
+    target) only once the block ends without an error; on an error it is
+    removed and ``path`` is left as it was. The file gets the permissions
+    ``open(path, "w")`` would leave. A path that exists but is not a regular
+    file, such as a pipe or a device, is written straight through."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+        return
+    target = os.path.realpath(path)
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            stats = corpus_stats(write_records(numbered(), f))
-        os.replace(tmp, args.out)
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(target)}.", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+    except OSError as exc:  # name the user's path, not a random one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            os.chmod(tmp, mode)
+            yield f
+        os.replace(tmp, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.unlink(tmp)
         raise
-    counts = {f"{split}_{kind}": n for split, by_kind in stats.items()
+
+
+def _cmd_ingest(args, log: _Log) -> int:
+    # One pass: each record is read, checked, written and counted.
+    with _replacing(args.out) as f:
+        written = load_corpus(args.infile, args.profile, pairing=args.pairing,
+                              default_lang=args.lang, write_to=f)
+    counts = {f"{split}_{kind}": n for split, by_kind in written.stats.items()
               for kind, n in by_kind.items()}
-    log.emit("ingested", records=total, lang=first.lang, **counts, out=str(args.out))
+    log.emit("ingested", records=len(written), lang=written.lang, **counts, out=str(args.out))
     return 0
 
 

@@ -21,9 +21,10 @@ transcripts and label fields as one string, a MASSIVE read equal languages.
 
 ``write_records`` writes records' canonical lines as they stream past, each
 shared label encoded once, and hands the records on; ``save_corpus`` writes a
-file of them and ``corpus_stats`` counts any iterable of them. So ``slumix
-ingest`` reads, checks, writes and counts in one pass, holding the ids, the
-transcripts and the label objects it has seen rather than the records: one
+file of them and ``corpus_stats`` counts any iterable of them. ``load_corpus``
+with ``write_to`` reads, checks, writes and counts in one pass, as ``slumix
+ingest`` does, and keeps only the counts: the pass holds the ids, the
+transcripts and the label objects it has seen rather than the records, one
 label per distinct canonical label, per SLURP sentence and per MASSIVE record.
 """
 
@@ -33,7 +34,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from typing import Iterator, Optional
 
@@ -467,10 +468,32 @@ def read_records(path, profile: str = "canonical", *, pairing: str = "all",
         raise CorpusFormatError("empty corpus file", path)
 
 
+@dataclass
+class CorpusCounts:
+    """What ``load_corpus`` keeps of a corpus it writes out rather than keeps:
+    its language, its number of records and their ``corpus_stats``."""
+    lang: str
+    records: int
+    stats: dict[str, dict[str, int]]
+
+    def __len__(self) -> int:
+        return self.records
+
+
 def load_corpus(path, profile: str = "canonical", *, name: Optional[str] = None,
-                pairing: str = "all", default_lang: str = "en") -> Corpus:
-    """The corpus of ``read_records``, named ``name`` (``path`` if None)."""
-    records = list(read_records(path, profile, pairing=pairing, default_lang=default_lang))
+                pairing: str = "all", default_lang: str = "en",
+                write_to=None) -> Corpus | CorpusCounts:
+    """The corpus of ``read_records``, named ``name`` (``path`` if None).
+
+    With ``write_to``, a text file open for writing, the records are not kept:
+    each is written there (``write_records``) and counted as it is read, and
+    the result is their ``CorpusCounts``."""
+    records = read_records(path, profile, pairing=pairing, default_lang=default_lang)
+    if write_to is not None:
+        first = next(records)  # its language is the corpus's; an empty file raises here
+        stats, total = _count(write_records(chain((first,), records), write_to))
+        return CorpusCounts(lang=first.lang, records=total, stats=stats)
+    records = list(records)
     return Corpus(name=name or str(path), lang=records[0].lang, records=records)
 
 
@@ -559,6 +582,11 @@ def corpus_stats(records) -> dict[str, dict[str, int]]:
     ``text_items`` picks them) and speech-label pairs (``speech_items``), and
     for dev and test, ``in_train``: the records whose transcript also occurs
     in train."""
+    return _count(records)[0]
+
+
+def _count(records) -> tuple[dict[str, dict[str, int]], int]:
+    """``corpus_stats`` of ``records``, and how many of them have a split in ``SPLITS``."""
     # Per split, each distinct transcript's record count; train may come last.
     texts: dict[str, dict[str, int]] = {split: {} for split in SPLITS}
     speech = dict.fromkeys(SPLITS, 0)
@@ -571,4 +599,4 @@ def corpus_stats(records) -> dict[str, dict[str, int]]:
     train = texts["train"]
     for split in ("dev", "test"):
         stats[split]["in_train"] = sum(n for text, n in texts[split].items() if text in train)
-    return stats
+    return stats, sum(sum(counts.values()) for counts in texts.values())

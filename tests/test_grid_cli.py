@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import weakref
@@ -809,7 +810,8 @@ class TestCli:
             "event": "ingested", "records": len(corpus), "lang": corpus.lang, **counts,
             "out": str(out)}
         assert counts["dev_in_train"] > 0 and counts["test_in_train"] > 0
-        assert not Path(f"{out}.tmp").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [src.name, "out.jsonl", "expected.jsonl"])
 
     @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["no_out", "existing_out"])
     def test_malformed_last_slurp_line_writes_nothing(self, tmp_path, capsys, existing):
@@ -833,6 +835,61 @@ class TestCli:
                      "--out", str(path)]) == 0
         assert path.read_bytes() == syn_path.read_bytes()
         assert [p.name for p in tmp_path.iterdir()] == ["syn.jsonl"]
+
+    def test_ingest_keeps_a_file_named_like_a_temporary_one(self, tmp_path, capsys):
+        src = self._ingest_source(tmp_path, "slurp")
+        out, mine = tmp_path / "out.jsonl", tmp_path / "out.jsonl.tmp"
+        mine.write_bytes(b"mine\n")
+        args = ["ingest", "--in", str(src), "--profile", "slurp", "--out", str(out)]
+        assert main(args) == 0
+        src.write_text(src.read_text() + "{not json\n")
+        assert main(args) == 1
+        assert mine.read_bytes() == b"mine\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.jsonl", "out.jsonl.tmp", "slurp.jsonl"]
+
+    def test_ingest_into_a_missing_directory_names_the_out_path(self, syn_path, tmp_path,
+                                                                capsys):
+        out = tmp_path / "missing" / "out.jsonl"
+        assert main(["ingest", "--in", str(syn_path), "--profile", "canonical",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_ingest_output_permissions_and_symlink(self, syn_path, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            fresh = tmp_path / "fresh.jsonl"
+            assert main(["ingest", "--in", str(syn_path), "--profile", "canonical",
+                         "--out", str(fresh)]) == 0
+            assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        finally:
+            os.umask(umask)
+        # An existing output keeps its permissions; a symlink stays a symlink
+        # and its target gets the new bytes.
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        link.symlink_to(target.name)
+        assert main(["ingest", "--in", str(syn_path), "--profile", "canonical",
+                     "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == syn_path.read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    def test_ingest_writes_through_to_a_pipe(self, tmp_path):
+        src = self._ingest_source(tmp_path, "canonical")  # well under a pipe's buffer
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["ingest", "--in", str(src), "--profile", "canonical",
+                         "--out", str(fifo)]) == 0
+            written = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        save_corpus(load_corpus(src, "canonical"), tmp_path / "expected.jsonl")
+        assert written == (tmp_path / "expected.jsonl").read_bytes()
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
     def test_grid_command_and_resume(self, syn_path, tmp_path, capsys):
         manifest_path = tmp_path / "m.json"
