@@ -7,13 +7,8 @@ With ``--json``, progress and result lines are emitted as JSON objects.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
-import stat
 import sys
-import tempfile
-from pathlib import Path
 
 from . import grid as gridmod
 from .corpus import (
@@ -35,6 +30,7 @@ from .grid import (
     write_report,
     write_rows_csv,
 )
+from .jsonio import replacing, write_text
 from .metrics import report_to_dict
 from .report import REPORT_STYLES, render_report
 from .scheduler import load_plan, save_plan
@@ -56,42 +52,9 @@ class _Log:
             print(f"{event}: {detail}" if detail else event)
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """A text file open for writing that replaces ``path`` (a symlink's
-    target) only once the block ends without an error; on an error it is
-    removed and ``path`` is left as it was. The file gets the permissions
-    ``open(path, "w")`` would leave. A path that exists but is not a regular
-    file, such as a pipe or a device, is written straight through."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as f:
-            yield f
-        return
-    target = os.path.realpath(path)
-    try:
-        mode = stat.S_IMODE(os.stat(target).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(target)}.", suffix=".tmp",
-                                   dir=os.path.dirname(target))
-    except OSError as exc:  # name the user's path, not a random one
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="utf-8") as f:
-            os.chmod(tmp, mode)
-            yield f
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _cmd_ingest(args, log: _Log) -> int:
     # One pass: each record is read, checked, written and counted.
-    with _replacing(args.out) as f:
+    with replacing(args.out) as f:
         written = load_corpus(args.infile, args.profile, pairing=args.pairing,
                               default_lang=args.lang, write_to=f)
     counts = {f"{split}_{kind}": n for split, by_kind in written.stats.items()
@@ -170,13 +133,11 @@ def _cmd_aggregate(args, log: _Log) -> int:
 
 
 def _cmd_report(args, log: _Log) -> int:
-    rows = read_rows_csv(args.agg)
-    rendered = render_report(rows, args.style)
-    md_path = Path(f"{args.out_prefix}.md")
-    csv_path = Path(f"{args.out_prefix}.csv")
-    md_path.write_text(rendered["markdown"], encoding="utf-8")
-    csv_path.write_text(rendered["csv"], encoding="utf-8")
-    log.emit("reported", style=args.style, markdown=str(md_path), csv=str(csv_path))
+    rendered = render_report(read_rows_csv(args.agg), args.style)
+    md_path, csv_path = f"{args.out_prefix}.md", f"{args.out_prefix}.csv"
+    write_text(md_path, rendered["markdown"])
+    write_text(csv_path, rendered["csv"])
+    log.emit("reported", style=args.style, markdown=md_path, csv=csv_path)
     return 0
 
 
@@ -292,10 +253,7 @@ def main(argv=None) -> int:
     log = _Log(args.json)
     try:
         return args.func(args, log)
-    except SlumixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SlumixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

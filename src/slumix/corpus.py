@@ -39,6 +39,7 @@ from json.encoder import encode_basestring
 from typing import Iterator, Optional
 
 from .errors import CorpusFormatError
+from .jsonio import replacing
 
 SPLITS = ("train", "dev", "test")
 
@@ -421,6 +422,7 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterator[tuple[int,
 
 def _massive_records(path, default_lang: str) -> Iterator[tuple[int, Utterance]]:
     langs: dict[str, str] = {}  # records share equal langs as one string
+    labels: dict = {}  # records share equal labels as one object, checked once
     for lineno, obj in _load_jsonl(path):
         rec_id = obj.get("id")
         if rec_id is None:
@@ -431,10 +433,13 @@ def _massive_records(path, default_lang: str) -> Iterator[tuple[int, Utterance]]
         label = SemanticLabel(
             scenario=scenario, action=action,
             entities=_entities_from_annotation(annotated))
+        if label not in labels:
+            labels[label] = label, label_fault(label)
+        label, fault = labels[label]
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
         lang = langs.setdefault(lang, lang)
-        _validate_record(str(rec_id), lang, split, text, label_fault(label), path, lineno)
+        _validate_record(str(rec_id), lang, split, text, fault, path, lineno)
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")
         yield lineno, Utterance(id=str(rec_id), lang=lang, split=split, text=text,
                                 label=label, speech_ref=None if ref is None else str(ref))
@@ -543,7 +548,7 @@ def write_records(records, f) -> Iterator[Utterance]:
 def save_corpus(records, path) -> None:
     """Write the canonical JSONL file of ``records`` (a ``Corpus`` or any
     iterable of records): one ``write_records`` line per record."""
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         for _ in write_records(records, f):
             pass
 

@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import re
 import traceback
 from dataclasses import dataclass, replace
@@ -45,7 +44,7 @@ from .crosslingual import (
     make_crosslingual_corpus,
 )
 from .errors import ConfigError, MetricsError, StatsError, TrainError
-from .jsonio import read_json, write_json
+from .jsonio import read_json, write_json, write_text
 from .labelcodec import parse_label, serialize_label
 from .metrics import (
     MetricReport,
@@ -309,23 +308,20 @@ def write_report(path, obj) -> None:
 
 def write_predictions(path, rows) -> None:
     """The bytes of ``preds.jsonl``: one sorted-key JSON object per row."""
-    Path(path).write_text("".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
-                                  for row in rows), encoding="utf-8")
+    write_text(path, "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+                             for row in rows))
 
 
 def _write_cell(cell_dir: Path, plan, model, pred_rows, report, meta) -> None:
-    """Write each file to a temporary file, then ``os.replace`` it into place.
-    ``meta.json`` is removed first and replaced last, so no ``meta.json``
+    """``meta.json`` is removed first and written last, so no ``meta.json``
     vouches for half-written files."""
     cell_dir.mkdir(parents=True, exist_ok=True)
     (cell_dir / "meta.json").unlink(missing_ok=True)
-    for name, write in (("plan.json", lambda path: save_plan(plan, path)),
-                        ("model.json", lambda path: save_model(model, path)),
-                        ("preds.jsonl", lambda path: write_predictions(path, pred_rows)),
-                        ("report.json", lambda path: write_report(path, report)),
-                        ("meta.json", lambda path: write_report(path, meta))):
-        write(cell_dir / f"{name}.tmp")
-        os.replace(cell_dir / f"{name}.tmp", cell_dir / name)
+    save_plan(plan, cell_dir / "plan.json")
+    save_model(model, cell_dir / "model.json")
+    write_predictions(cell_dir / "preds.jsonl", pred_rows)
+    write_report(cell_dir / "report.json", report)
+    write_report(cell_dir / "meta.json", meta)
 
 
 def _read_cell(cell_dir: Path, cell_hash: str, xl: Optional[CrossLingualSpec]
@@ -619,8 +615,7 @@ def write_rows_csv(rows, path) -> None:
             "significant": "yes" if marked else "",
         }
         lines.append(",".join(values[c] for c in CSV_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_rows_csv(path) -> list[dict]:

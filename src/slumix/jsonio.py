@@ -1,9 +1,13 @@
-"""The one reader and the one writer of the toolkit's JSON files."""
+"""The one reader of the toolkit's JSON files, and its one file writer:
+``replacing`` puts every file slumix writes in place, whole or not at all."""
 
 from __future__ import annotations
 
+import contextlib
 import json
-from pathlib import Path
+import os
+import stat
+import tempfile
 
 
 def read_json(path, error: type[Exception], kind: str, build):
@@ -26,8 +30,47 @@ def read_json(path, error: type[Exception], kind: str, build):
         raise error(f"{path}: {kind} has a malformed field ({exc})") from exc
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """A UTF-8 text file open for writing, LF line ends, that replaces ``path``
+    (a symlink's target) only once the block ends without an error; on an error
+    it is removed and ``path`` is left as it was. It gets the mode ``open(path,
+    "w")`` would leave; a new file's comes from the umask, which is per process
+    and safe to set and set back as slumix writes from one thread. A path that
+    exists but is not a regular file, such as a pipe, is written straight through."""
+    try:
+        mode = os.stat(path).st_mode  # a symlink's target's
+    except FileNotFoundError:  # a new regular file
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            yield f
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(target)}.", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+    except OSError as exc:  # name the user's path, not a random one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    """Put ``text`` in place at ``path`` through ``replacing``."""
+    with replacing(path) as f:
+        f.write(text)
+
+
 def write_json(path, obj, indent=None, sort_keys: bool = False) -> None:
     """Write ``obj`` as UTF-8 JSON, non-ASCII kept, in one ``write``
     (``json.dump`` would stream it through the pure-Python encoder)."""
-    Path(path).write_text(json.dumps(obj, ensure_ascii=False, indent=indent,
-                                     sort_keys=sort_keys), encoding="utf-8")
+    write_text(path, json.dumps(obj, ensure_ascii=False, indent=indent, sort_keys=sort_keys))

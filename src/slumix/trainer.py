@@ -28,12 +28,11 @@ import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .corpus import UNPARSEABLE, Corpus, Entity, SemanticLabel
 from .errors import TrainError
-from .jsonio import read_json, write_json
+from .jsonio import read_json, write_json, write_text
 from .scheduler import MixPlan, derive_rng, epoch_batches, plan_totals
 from .trainer_recipes import TrainRecipe, epoch_phases, is_number, lr_at
 
@@ -557,7 +556,7 @@ def save_model(model: ModelState, path) -> None:
     obj = model_to_dict(model)
     weights, obj["weights"] = obj["weights"], ""
     head, tail = json.dumps(obj, ensure_ascii=False).split('"weights": ""', 1)
-    Path(path).write_text(f'{head}"weights": "{weights}"{tail}', encoding="utf-8")
+    write_text(path, f'{head}"weights": "{weights}"{tail}')
 
 
 def load_model(path) -> ModelState:

@@ -2,6 +2,7 @@ import json
 import pickle
 import re
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -411,6 +412,39 @@ class TestMassiveProfile:
             "dev": {"text": 2033, "speech": 2033, "in_train": 0},
             "test": {"text": 2974, "speech": 2974, "in_train": 0},
         }
+
+    def test_streamed_ingest_holds_each_distinct_label_once(self, tmp_path, monkeypatch):
+        # A streamed ingest keeps every label it wrote, with its encoding. Rows
+        # that share a label share one object, checked once, so they hold far
+        # less than rows whose labels all differ.
+        n = 5000
+        checked = []
+        real_fault = slumix.corpus.label_fault
+        monkeypatch.setattr(slumix.corpus, "label_fault",
+                            lambda label: checked.append(label) or real_fault(label))
+
+        def peak(path, fillers):
+            with open(path, "w", encoding="utf-8") as f:
+                for i, filler in enumerate(fillers):
+                    row = self.massive_row(i)
+                    row["annot_utt"] = row["annot_utt"].replace("sept heures", filler)
+                    f.write(json.dumps(row) + "\n")
+            tracemalloc.start()
+            try:
+                with open(tmp_path / "out.jsonl", "w", encoding="utf-8") as f:
+                    assert len(load_corpus(path, "massive", write_to=f)) == n
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        distinct = peak(tmp_path / "distinct.jsonl", [f"sept heures {i}" for i in range(n)])
+        assert len(checked) == n
+        checked.clear()
+        shared = peak(tmp_path / "shared.jsonl", ["sept heures"] * n)
+        assert len(checked) == 1
+        assert shared < distinct / 2
+        records = load_corpus(tmp_path / "shared.jsonl", "massive").records
+        assert len({id(r.label) for r in records}) == 1
 
 
 class TestStatsAndViews:

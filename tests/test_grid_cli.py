@@ -1,7 +1,11 @@
+import contextlib
+import errno
 import gc
 import json
 import os
+import resource
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -26,7 +30,7 @@ from slumix import (
     save_corpus,
     serialize_label,
 )
-from slumix.cli import main
+from slumix.cli import build_parser, main
 from slumix.grid import (
     CSV_COLUMNS,
     CrossLingualSpec,
@@ -63,6 +67,65 @@ def mini_manifest(syn_path, **overrides):
     )
     base.update(overrides)
     return ExperimentManifest(**base)
+
+
+@pytest.fixture(scope="module")
+def one_cell(syn_path, tmp_path_factory):
+    """The paths of a finished one-cell grid on ``syn_path``: the corpus, the
+    manifest file, the runs directory, its ``aggregate.csv`` and the cell's
+    plan, model and predictions."""
+    d = tmp_path_factory.mktemp("one_cell")
+    manifest = mini_manifest(syn_path, schemes=("text_only",), speech_levels=(0.1,),
+                             seeds=(1,), epochs=1)
+    (d / "m.json").write_text(json.dumps(manifest_to_dict(manifest)))
+    assert run_grid(manifest, d / "runs").ok
+    cell, = (p for p in (d / "runs").iterdir() if p.is_dir())
+    return {"syn": str(syn_path), "config": str(d / "m.json"), "runs": str(d / "runs"),
+            "agg": str(d / "runs" / "aggregate.csv"), "plan": str(cell / "plan.json"),
+            "model": str(cell / "model.json"), "preds": str(cell / "preds.jsonl")}
+
+
+# Per kind of output file, the command that writes it to ``out`` from the
+# files of ``one_cell``; "table" writes ``out``.md and ``out``.csv.
+OUTPUT_KINDS = {
+    "report": lambda c, out: ["evaluate", "--gold", c["syn"], "--pred", c["preds"],
+                              "--out", out],
+    "plan": lambda c, out: ["plan", "--scheme", "direct", "--p", "0.5", "--seed", "1",
+                            "--corpus", c["syn"], "--out", out],
+    "model": lambda c, out: ["train", "--plan", c["plan"], "--corpus", c["syn"],
+                             "--out", out],
+    "preds": lambda c, out: ["predict", "--model", c["model"], "--corpus", c["syn"],
+                             "--out", out],
+    "corpus": lambda c, out: ["synth", "--n", "50", "--out", out],
+    "aggregate": lambda c, out: ["aggregate", "--config", c["config"], "--runs", c["runs"],
+                                 "--out", out],
+    "table": lambda c, out: ["report", "--agg", c["agg"], "--style", "monolingual",
+                             "--out-prefix", out],
+    "export": lambda c, out: ["export-manifest", "--plan", c["plan"], "--corpus-ref",
+                              c["syn"], "--out", out],
+    "ingest": lambda c, out: ["ingest", "--in", c["syn"], "--profile", "canonical",
+                              "--out", out],
+}
+
+
+def output_files(kind, out: Path) -> list[Path]:
+    """The files ``OUTPUT_KINDS[kind]`` writes, in the order it writes them."""
+    return ([out.with_name(out.name + ".md"), out.with_name(out.name + ".csv")]
+            if kind == "table" else [out])
+
+
+@contextlib.contextmanager
+def file_size_limit(limit: int):
+    """This process may write no file past ``limit`` bytes: with SIGXFSZ
+    ignored, such a write fails with EFBIG."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    try:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
 
 
 class TestManifest:
@@ -179,6 +242,28 @@ class TestRunGrid:
         outcome = run_grid(manifest, tmp_path / "runs")
         assert outcome.cells_run == 1
         assert len(list((tmp_path / "runs").glob("*/report.json"))) == 1
+
+    def test_fault_while_writing_model_leaves_cell_unfinished(self, syn_path, tmp_path,
+                                                               monkeypatch):
+        manifest = mini_manifest(syn_path, schemes=("text_only", "direct"),
+                                 speech_levels=(0.1,), seeds=(1,), epochs=1)
+        runs, faulty = tmp_path / "runs", "syn__direct__p0.1__s1"
+        save_model = slumix.grid.save_model
+
+        def failing_save_model(model, path):
+            if Path(path).parent.name != faulty:
+                return save_model(model, path)
+            with file_size_limit(100):
+                return save_model(model, path)
+
+        monkeypatch.setattr(slumix.grid, "save_model", failing_save_model)
+        outcome = run_grid(manifest, runs)
+        assert [(f["cell"], f["type"]) for f in outcome.failures] == [(faulty, "OSError")]
+        assert [p.name for p in (runs / faulty).iterdir()] == ["plan.json"]
+        monkeypatch.undo()
+        again = run_grid(manifest, runs)
+        assert again.ok and (again.cells_run, again.cells_skipped) == (1, 1)
+        assert again.results[1].cell.cell_id == faulty and again.results[1].ran
 
     def test_resume_skips_everything(self, syn_path, tmp_path):
         manifest = mini_manifest(syn_path)
@@ -856,25 +941,47 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such file or directory: '{out}'\n")
 
-    def test_ingest_output_permissions_and_symlink(self, syn_path, tmp_path):
+    @pytest.mark.parametrize("kind", OUTPUT_KINDS)
+    def test_output_permissions_and_symlink(self, kind, one_cell, tmp_path):
         umask = os.umask(0o022)
         try:
-            fresh = tmp_path / "fresh.jsonl"
-            assert main(["ingest", "--in", str(syn_path), "--profile", "canonical",
-                         "--out", str(fresh)]) == 0
-            assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+            fresh = tmp_path / "fresh"
+            assert main(OUTPUT_KINDS[kind](one_cell, str(fresh))) == 0
+            for path in output_files(kind, fresh):
+                assert stat.S_IMODE(path.stat().st_mode) == 0o644
         finally:
             os.umask(umask)
         # An existing output keeps its permissions; a symlink stays a symlink
         # and its target gets the new bytes.
-        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
-        target.write_text("old\n")
-        target.chmod(0o600)
-        link.symlink_to(target.name)
-        assert main(["ingest", "--in", str(syn_path), "--profile", "canonical",
-                     "--out", str(link)]) == 0
-        assert link.is_symlink() and target.read_bytes() == syn_path.read_bytes()
-        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        links = output_files(kind, tmp_path / "link")
+        targets = [tmp_path / f"target_{link.name}" for link in links]
+        for link, target in zip(links, targets):
+            target.write_text("old\n")
+            target.chmod(0o600)
+            link.symlink_to(target.name)
+        assert main(OUTPUT_KINDS[kind](one_cell, str(tmp_path / "link"))) == 0
+        for link, target, fresh_file in zip(links, targets, output_files(kind, fresh)):
+            assert link.is_symlink() and target.read_bytes() == fresh_file.read_bytes()
+            assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+    @pytest.mark.parametrize("kind", OUTPUT_KINDS)
+    def test_failed_write_leaves_the_output_as_it_was(self, kind, one_cell, tmp_path):
+        written = tmp_path / "written"
+        assert main(OUTPUT_KINDS[kind](one_cell, str(written))) == 0
+        limit = min(p.stat().st_size for p in output_files(kind, written)) // 2
+        out = tmp_path / "out"
+        for path in output_files(kind, out):
+            path.write_bytes(b"old\n")
+            path.chmod(0o640)
+        # The command without main's error handling, so its OSError is seen.
+        args = build_parser().parse_args(OUTPUT_KINDS[kind](one_cell, str(out)))
+        with file_size_limit(limit), pytest.raises(OSError) as info:
+            args.func(args, None)
+        assert info.value.errno == errno.EFBIG
+        for path in output_files(kind, out):
+            assert path.read_bytes() == b"old\n"
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_ingest_writes_through_to_a_pipe(self, tmp_path):
         src = self._ingest_source(tmp_path, "canonical")  # well under a pipe's buffer
