@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import grid as gridmod
 from .corpus import (
@@ -134,10 +135,10 @@ def _cmd_aggregate(args, log: _Log) -> int:
 
 def _cmd_report(args, log: _Log) -> int:
     rendered = render_report(read_rows_csv(args.agg), args.style)
-    md_path, csv_path = f"{args.out_prefix}.md", f"{args.out_prefix}.csv"
+    md_path, csv_path = Path(f"{args.out_prefix}.md"), Path(f"{args.out_prefix}.csv")
     write_text(md_path, rendered["markdown"])
     write_text(csv_path, rendered["csv"])
-    log.emit("reported", style=args.style, markdown=md_path, csv=csv_path)
+    log.emit("reported", style=args.style, markdown=str(md_path), csv=str(csv_path))
     return 0
 
 

@@ -68,31 +68,28 @@ def make_synthetic_corpus(n: int = 2000, seed: int = 0, lang: str = "xx",
                           name: str = "synthetic") -> Corpus:
     """Generate n utterances with train/dev/test splits of roughly 70/15/15."""
     rng = derive_rng(seed, "synthetic-corpus")
-    flat = [(scenario, action, template)
+    # (scenario, action, template, the template's slots in _FILLERS order)
+    flat = [(scenario, action, template, [s for s in _FILLERS if f"{{{s}}}" in template])
             for scenario, actions in _TEMPLATES.items()
             for action, templates in actions.items()
             for template in templates]
+    labels = {}  # records share equal labels as one object, as the readers do
     records = []
     n_train = int(n * 0.7)
     n_dev = int(n * 0.15)
     for i in range(n):
-        scenario, action, template = rng.choice(flat)
-        entities = []
-        text = template
-        for slot in _FILLERS:
-            marker = "{" + slot + "}"
-            if marker in text:
-                filler = rng.choice(_FILLERS[slot])
-                text = text.replace(marker, filler)
-                entities.append(Entity(etype=slot, filler=filler))
+        scenario, action, template, slots = rng.choice(flat)
+        pairs = tuple((slot, rng.choice(_FILLERS[slot])) for slot in slots)
+        label = labels.get((scenario, action, pairs))
+        if label is None:
+            label = labels[scenario, action, pairs] = SemanticLabel(
+                scenario=scenario, action=action,
+                entities=tuple(Entity(etype=s, filler=f) for s, f in pairs))
         split = "train" if i < n_train else ("dev" if i < n_train + n_dev else "test")
         uid = f"syn-{split}-{i:05d}"
         records.append(Utterance(
-            id=uid, lang=lang, split=split, text=text,
-            speech_ref=f"sim://{uid}",
-            label=SemanticLabel(scenario=scenario, action=action,
-                                entities=tuple(entities)),
-        ))
+            id=uid, lang=lang, split=split, text=template.format_map(dict(pairs)),
+            speech_ref=f"sim://{uid}", label=label))
     corpus = Corpus(name=name, lang=lang, records=records)
     validate_corpus(corpus)
     return corpus

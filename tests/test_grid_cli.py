@@ -1027,6 +1027,16 @@ class TestCli:
         assert (tmp_path / "table.md").exists()
         assert (tmp_path / "table.csv").exists()
 
+    def test_report_logs_normalised_paths(self, syn_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "runs"
+        run_grid(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)), out)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["--json", "report", "--agg", str(out / "aggregate.csv"),
+                     "--style", "monolingual", "--out-prefix", "./t"]) == 0
+        logged = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (logged["markdown"], logged["csv"]) == ("t.md", "t.csv")
+
     def test_aggregate_command_reports_missing_cells(self, syn_path, tmp_path, capsys):
         out = tmp_path / "runs"
         run_grid(mini_manifest(syn_path, seeds=(1,)), out)
