@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import contextlib
+import filecmp
 import json
 import os
 import stat
@@ -33,16 +34,16 @@ def read_json(path, error: type[Exception], kind: str, build):
 @contextlib.contextmanager
 def replacing(path):
     """A UTF-8 text file open for writing, LF line ends, that replaces ``path``
-    (a symlink's target) only once the block ends without an error; on an error
-    it is removed and ``path`` is left as it was. It gets the mode ``open(path,
-    "w")`` would leave; a new file's comes from the umask, which is per process
-    and safe to set and set back as slumix writes from one thread. A path that
-    exists but is not a regular file, such as a pipe, is written straight through."""
+    (a symlink's target) once the block ends without an error, unless ``path``
+    holds the same bytes; else it is removed and ``path`` is left as it was. It
+    gets the mode ``open(path, "w")`` would leave; a new file's comes from the
+    umask, which is per process and safe to set and set back as slumix writes
+    from one thread. A pipe or other existing non-regular file is written
+    straight through."""
     try:
         mode = os.stat(path).st_mode  # a symlink's target's
     except FileNotFoundError:  # a new regular file
-        umask = os.umask(0)
-        os.umask(umask)
+        os.umask(umask := os.umask(0))  # read the umask, set it back
         mode = stat.S_IFREG | (0o666 & ~umask)
     if not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as f:
@@ -58,6 +59,10 @@ def replacing(path):
         with open(fd, "w", encoding="utf-8", newline="") as f:
             os.fchmod(fd, stat.S_IMODE(mode))
             yield f
+        with contextlib.suppress(OSError):  # a new or unreadable target is replaced
+            if filecmp.cmp(target, tmp, shallow=False):  # no new file for the same bytes
+                os.unlink(tmp)
+                return
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

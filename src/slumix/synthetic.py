@@ -73,23 +73,21 @@ def make_synthetic_corpus(n: int = 2000, seed: int = 0, lang: str = "xx",
             for scenario, actions in _TEMPLATES.items()
             for action, templates in actions.items()
             for template in templates]
-    labels = {}  # records share equal labels as one object, as the readers do
+    labels = {}  # one object per distinct label, as the corpus readers share them
     records = []
-    n_train = int(n * 0.7)
-    n_dev = int(n * 0.15)
+    n_train, n_dev = int(n * 0.7), int(n * 0.15)
     for i in range(n):
         scenario, action, template, slots = rng.choice(flat)
         pairs = tuple((slot, rng.choice(_FILLERS[slot])) for slot in slots)
-        label = labels.get((scenario, action, pairs))
-        if label is None:
-            label = labels[scenario, action, pairs] = SemanticLabel(
+        if (scenario, action, pairs) not in labels:
+            labels[scenario, action, pairs] = SemanticLabel(
                 scenario=scenario, action=action,
                 entities=tuple(Entity(etype=s, filler=f) for s, f in pairs))
         split = "train" if i < n_train else ("dev" if i < n_train + n_dev else "test")
         uid = f"syn-{split}-{i:05d}"
         records.append(Utterance(
             id=uid, lang=lang, split=split, text=template.format_map(dict(pairs)),
-            speech_ref=f"sim://{uid}", label=label))
+            speech_ref=f"sim://{uid}", label=labels[scenario, action, pairs]))
     corpus = Corpus(name=name, lang=lang, records=records)
     validate_corpus(corpus)
     return corpus

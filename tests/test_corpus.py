@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import re
@@ -173,6 +174,16 @@ class TestCanonicalProfile:
         labels = {r.label for r in corpus.records}
         assert len(labels) < len(corpus)
         assert len(calls) == sum(2 + 2 * len(label.entities) for label in labels)
+
+    def test_synthetic_corpus_shares_equal_labels_and_keeps_its_bytes(self, tmp_path):
+        corpus = make_synthetic_corpus(300, seed=1, lang="de")
+        labels = {id(r.label): r.label for r in corpus.records}
+        assert len(labels) == len({r.label for r in corpus.records}) < len(corpus)
+        path = tmp_path / "syn.jsonl"
+        save_corpus(corpus, path)
+        # The file the generator wrote before it shared labels.
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "7ca9b69c2022383a81ec7f465c27852695ffff3878c84ea66e16fe5eff1b32fd"
 
     def test_equal_label_fields_share_one_label(self, tmp_path):
         path = tmp_path / "c.jsonl"
