@@ -143,7 +143,8 @@ def _cmd_report(args, log: _Log) -> int:
 
 
 def _cmd_grid(args, log: _Log) -> int:
-    outcome = run_grid(load_manifest(args.config), args.out)
+    manifest = load_manifest(args.config)
+    outcome = run_grid(manifest, args.out)
     log.emit("grid", cells_run=outcome.cells_run,
              cells_skipped=outcome.cells_skipped, failures=len(outcome.failures),
              out=str(args.out))

@@ -43,7 +43,8 @@ def replacing(path):
     try:
         mode = os.stat(path).st_mode  # a symlink's target's
     except FileNotFoundError:  # a new regular file
-        os.umask(umask := os.umask(0))  # read the umask, set it back
+        umask = os.umask(0)
+        os.umask(umask)
         mode = stat.S_IFREG | (0o666 & ~umask)
     if not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as f:

@@ -75,7 +75,8 @@ def make_synthetic_corpus(n: int = 2000, seed: int = 0, lang: str = "xx",
             for template in templates]
     labels = {}  # one object per distinct label, as the corpus readers share them
     records = []
-    n_train, n_dev = int(n * 0.7), int(n * 0.15)
+    n_train = int(n * 0.7)
+    n_dev = int(n * 0.15)
     for i in range(n):
         scenario, action, template, slots = rng.choice(flat)
         pairs = tuple((slot, rng.choice(_FILLERS[slot])) for slot in slots)
