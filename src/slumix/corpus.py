@@ -14,18 +14,16 @@ transcripts and the number of speech records differ.
 
 ``read_records`` streams a file's records, each checked as it is read (its
 fields, its label, a new id, the file's language) and a fault reported with
-path and line; ``load_corpus`` keeps them as a ``Corpus``. Records that repeat
-a label share one ``SemanticLabel``, built, normalized and checked once per
-read. Records are slotted; a canonical read shares equal languages,
-transcripts and label fields as one string, a MASSIVE read equal languages.
+path and line; ``load_corpus`` keeps them as a ``Corpus``. Any read hands out
+equal labels as one ``SemanticLabel``, checked at its first record, and equal
+languages as one string; a canonical read also shares transcripts and label fields.
 
 ``write_records`` writes records' canonical lines as they stream past, each
 shared label encoded once, and hands the records on; ``save_corpus`` writes a
 file of them and ``corpus_stats`` counts any iterable of them. ``load_corpus``
 with ``write_to`` reads, checks, writes and counts in one pass, as ``slumix
 ingest`` does, and keeps only the counts: the pass holds the ids, the
-transcripts and the label objects it has seen rather than the records, one
-label per distinct canonical label, per SLURP sentence and per MASSIVE record.
+transcripts and the label objects it has seen rather than the records.
 """
 
 from __future__ import annotations
@@ -201,9 +199,8 @@ class Corpus:
         return {r.id: r for r in self.records}
 
 
-def _validate_record(utt_id, lang, split, text, fault: Optional[str], path=None, line=None):
-    """Check one record's fields; ``fault`` is ``label_fault`` of its label,
-    which a reader that shares one label among records computes once per label."""
+def _validate_record(utt_id, lang, split, text, path=None, line=None):
+    """Check one record's fields; ``_one_label`` checks its label when new to the read."""
     if not utt_id:
         raise CorpusFormatError("record id is empty", path, line)
     if not lang:
@@ -213,8 +210,16 @@ def _validate_record(utt_id, lang, split, text, fault: Optional[str], path=None,
             f"record {utt_id!r}: split {split!r} not in {SPLITS}", path, line)
     if not text.strip():
         raise CorpusFormatError(f"record {utt_id!r}: transcript is empty", path, line)
-    if fault is not None:
-        raise CorpusFormatError(f"record {utt_id!r}: gold label {fault}", path, line)
+
+
+def _one_label(shared: dict, label: SemanticLabel, utt_id, path=None, line=None) -> SemanticLabel:
+    one = shared.get(label)
+    if one is None:
+        fault = label_fault(label)
+        if fault is not None:
+            raise CorpusFormatError(f"record {utt_id!r}: gold label {fault}", path, line)
+        one = shared[label] = label
+    return one
 
 
 def _checked(numbered, lang: Optional[str] = None, path=None) -> Iterator[Utterance]:
@@ -240,9 +245,10 @@ def _check_ids_and_lang(corpus: Corpus) -> None:
 def validate_corpus(corpus: Corpus) -> None:
     """Check corpus invariants: valid splits/labels, unique ids, one language
     (combined multilingual corpora use lang "mul" and skip that check)."""
-    for utt in corpus.records:
-        _validate_record(utt.id, utt.lang, utt.split, utt.text, label_fault(utt.label))
-    _check_ids_and_lang(corpus)
+    shared: dict = {}
+    for utt in _checked(((None, utt) for utt in corpus.records), corpus.lang):
+        _validate_record(utt.id, utt.lang, utt.split, utt.text)
+        _one_label(shared, utt.label, utt.id)
 
 
 def _map_split(raw, path, line) -> str:
@@ -356,12 +362,10 @@ def _label_key(obj: dict, path, line) -> tuple:
     raise CorpusFormatError("field 'entities' is not a list of objects", path, line)
 
 
-def _canonical_records(path) -> Iterator[tuple[int, Utterance]]:
-    # Recording records repeat their transcript's label, so each distinct label
-    # is built and checked once per load and shared by the records that carry
-    # it; equal languages, transcripts and label fields share one string.
-    labels: dict[tuple, tuple[SemanticLabel, Optional[str]]] = {}
-    share = {}.setdefault
+def _canonical_records(path, shared: dict) -> Iterator[tuple[int, Utterance]]:
+    # Each key's label is built once (recordings repeat their sentence's label).
+    labels: dict[tuple, SemanticLabel] = {}
+    share = shared.setdefault
     for lineno, obj in _load_jsonl(path):
         try:
             split = _map_split(obj["split"], path, lineno)
@@ -371,21 +375,21 @@ def _canonical_records(path) -> Iterator[tuple[int, Utterance]]:
             raise CorpusFormatError(f"missing field {exc.args[0]!r}", path, lineno) from exc
         if utt_id.__class__ is not str or lang.__class__ is not str or text.__class__ is not str:
             utt_id, lang, text = str(utt_id), str(lang), str(text)
-        entry = labels.get(key)
-        if entry is None:
+        _validate_record(utt_id, lang, split, text, path, lineno)
+        label = labels.get(key)
+        if label is None:
             label = UNPARSEABLE if key[0] else SemanticLabel(
                 *[share(v, v) for v in key[1:3]],
                 tuple(Entity(share(t, t), share(f, f)) for t, f in key[3:]))
-            entry = labels[key] = label, label_fault(label)
-        label, fault = entry
-        _validate_record(utt_id, lang, split, text, fault, path, lineno)
+            label = labels[key] = _one_label(shared, label, utt_id, path, lineno)
         ref = obj.get("speech_ref")
         yield lineno, Utterance(id=utt_id, lang=share(lang, lang), split=split,
                                 text=share(text, text), label=label,
                                 speech_ref=None if ref is None else str(ref))
 
 
-def _slurp_records(path, pairing: str, default_lang: str) -> Iterator[tuple[int, Utterance]]:
+def _slurp_records(path, shared: dict, pairing: str,
+                   default_lang: str) -> Iterator[tuple[int, Utterance]]:
     if pairing not in ("all", "one"):
         raise CorpusFormatError(f"unknown recording pairing {pairing!r} (use 'all' or 'one')")
     for lineno, obj in _load_jsonl(path):
@@ -404,7 +408,9 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterator[tuple[int,
             entities=_entities_from_list(_entity_objects(obj, path, lineno), annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
-        _validate_record(base_id, lang, split, text, label_fault(label), path, lineno)
+        _validate_record(base_id, lang, split, text, path, lineno)
+        label = _one_label(shared, label, base_id, path, lineno)
+        lang = shared.setdefault(lang, lang)
         recordings = obj.get("recordings", [])
         if not isinstance(recordings, list):
             raise CorpusFormatError("field 'recordings' is not a list", path, lineno)
@@ -420,9 +426,7 @@ def _slurp_records(path, pairing: str, default_lang: str) -> Iterator[tuple[int,
                                     label=label, speech_ref=ref)
 
 
-def _massive_records(path, default_lang: str) -> Iterator[tuple[int, Utterance]]:
-    langs: dict[str, str] = {}  # records share equal langs as one string
-    labels: dict = {}  # records share equal labels as one object, checked once
+def _massive_records(path, shared: dict, default_lang: str) -> Iterator[tuple[int, Utterance]]:
     for lineno, obj in _load_jsonl(path):
         rec_id = obj.get("id")
         if rec_id is None:
@@ -433,13 +437,11 @@ def _massive_records(path, default_lang: str) -> Iterator[tuple[int, Utterance]]
         label = SemanticLabel(
             scenario=scenario, action=action,
             entities=_entities_from_annotation(annotated))
-        if label not in labels:
-            labels[label] = label, label_fault(label)
-        label, fault = labels[label]
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
-        lang = langs.setdefault(lang, lang)
-        _validate_record(str(rec_id), lang, split, text, fault, path, lineno)
+        _validate_record(str(rec_id), lang, split, text, path, lineno)
+        label = _one_label(shared, label, str(rec_id), path, lineno)
+        lang = shared.setdefault(lang, lang)
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")
         yield lineno, Utterance(id=str(rec_id), lang=lang, split=split, text=text,
                                 label=label, speech_ref=None if ref is None else str(ref))
@@ -458,12 +460,13 @@ def read_records(path, profile: str = "canonical", *, pairing: str = "all",
     ``pairing`` applies to SLURP-style sources only: "all" keeps every
     recording as its own speech record, "one" keeps only the first.
     """
+    shared: dict = {}  # the read's one object of each label and language (``_one_label``)
     if profile == "canonical":
-        numbered = _canonical_records(path)
+        numbered = _canonical_records(path, shared)
     elif profile == "slurp":
-        numbered = _slurp_records(path, pairing, default_lang)
+        numbered = _slurp_records(path, shared, pairing, default_lang)
     elif profile == "massive":
-        numbered = _massive_records(path, default_lang)
+        numbered = _massive_records(path, shared, default_lang)
     else:
         raise CorpusFormatError(f"unknown profile {profile!r} (expected one of {PROFILES})")
     utt = None

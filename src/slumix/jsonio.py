@@ -8,7 +8,6 @@ import filecmp
 import json
 import os
 import stat
-import tempfile
 
 
 def read_json(path, error: type[Exception], kind: str, build):
@@ -36,29 +35,26 @@ def replacing(path):
     """A UTF-8 text file open for writing, LF line ends, that replaces ``path``
     (a symlink's target) once the block ends without an error, unless ``path``
     holds the same bytes; else it is removed and ``path`` is left as it was. It
-    gets the mode ``open(path, "w")`` would leave; a new file's comes from the
-    umask, which is per process and safe to set and set back as slumix writes
-    from one thread. A pipe or other existing non-regular file is written
-    straight through."""
+    gets the mode ``open(path, "w")`` would leave: the kernel applies the umask,
+    never read or set here. A pipe or other non-regular file is written through."""
     try:
         mode = os.stat(path).st_mode  # a symlink's target's
     except FileNotFoundError:  # a new regular file
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as f:
             yield f
         return
     target = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(target)}.", suffix=".tmp",
-                                   dir=os.path.dirname(target))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # name the user's path, not a random one
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as f:
-            os.fchmod(fd, stat.S_IMODE(mode))
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             yield f
         with contextlib.suppress(OSError):  # a new or unreadable target is replaced
             if filecmp.cmp(target, tmp, shallow=False):  # no new file for the same bytes

@@ -192,8 +192,8 @@ class TestCanonicalProfile:
                 canonical_row("u4")]
         write_jsonl(path, rows)
         u1, u2, u3, u4 = load_corpus(path, "canonical").records
-        assert u1.label is u2.label is u4.label
-        assert u3.label == u1.label
+        # u3's fields differ in case and spacing, but its label is equal: one object.
+        assert u1.label is u2.label is u3.label is u4.label
         for utt, row in zip((u1, u2, u3, u4), rows):
             assert utt.label == SemanticLabel.from_dict(row)
 
@@ -424,38 +424,55 @@ class TestMassiveProfile:
             "test": {"text": 2974, "speech": 2974, "in_train": 0},
         }
 
-    def test_streamed_ingest_holds_each_distinct_label_once(self, tmp_path, monkeypatch):
-        # A streamed ingest keeps every label it wrote, with its encoding. Rows
-        # that share a label share one object, checked once, so they hold far
-        # less than rows whose labels all differ.
-        n = 5000
-        checked = []
-        real_fault = slumix.corpus.label_fault
-        monkeypatch.setattr(slumix.corpus, "label_fault",
-                            lambda label: checked.append(label) or real_fault(label))
 
-        def peak(path, fillers):
-            with open(path, "w", encoding="utf-8") as f:
-                for i, filler in enumerate(fillers):
-                    row = self.massive_row(i)
-                    row["annot_utt"] = row["annot_utt"].replace("sept heures", filler)
-                    f.write(json.dumps(row) + "\n")
-            tracemalloc.start()
-            try:
-                with open(tmp_path / "out.jsonl", "w", encoding="utf-8") as f:
-                    assert len(load_corpus(path, "massive", write_to=f)) == n
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+def time_label_rows(profile, fillers):
+    """Rows of ``profile``, one per filler, in language fr-FR, whose labels
+    differ only in their time filler."""
+    for i, filler in enumerate(fillers):
+        if profile == "massive":
+            row = TestMassiveProfile.massive_row(i)
+            row["annot_utt"] = row["annot_utt"].replace("sept heures", filler)
+        elif profile == "slurp":
+            row = {**TestSlurpProfile.slurp_row(i, 0), "lang": "fr-FR",
+                   "entities": [{"type": "time", "filler": filler}]}
+        else:
+            row = canonical_row(f"u{i}", text=f"wake me at {filler} {i}", lang="fr-FR",
+                                entities=[{"type": "time", "filler": filler}])
+        yield row
 
-        distinct = peak(tmp_path / "distinct.jsonl", [f"sept heures {i}" for i in range(n)])
-        assert len(checked) == n
-        checked.clear()
-        shared = peak(tmp_path / "shared.jsonl", ["sept heures"] * n)
-        assert len(checked) == 1
-        assert shared < distinct / 2
-        records = load_corpus(tmp_path / "shared.jsonl", "massive").records
-        assert len({id(r.label) for r in records}) == 1
+
+@pytest.mark.parametrize("profile", ["massive", "slurp", "canonical"])
+def test_streamed_ingest_holds_each_distinct_label_once(tmp_path, monkeypatch, profile):
+    # A streamed ingest keeps every label it wrote, with its encoding. Rows
+    # that share a label share one object, checked once, so they hold far
+    # less than rows whose labels all differ.
+    n = 5000
+    checked = []
+    real_fault = slumix.corpus.label_fault
+    monkeypatch.setattr(slumix.corpus, "label_fault",
+                        lambda label: checked.append(label) or real_fault(label))
+
+    def peak(path, fillers):
+        write_jsonl(path, time_label_rows(profile, fillers))
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "out.jsonl", "w", encoding="utf-8") as f:
+                assert len(load_corpus(path, profile, write_to=f)) == n
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    distinct = peak(tmp_path / "distinct.jsonl", [f"sept heures {i}" for i in range(n)])
+    assert len(checked) == n
+    checked.clear()
+    shared = peak(tmp_path / "shared.jsonl", ["sept heures"] * n)
+    assert len(checked) == 1
+    assert shared < distinct / 2
+    # Equal labels come back as one label object, equal languages as one string.
+    for name, labels in (("distinct.jsonl", n), ("shared.jsonl", 1)):
+        records = load_corpus(tmp_path / name, profile).records
+        assert len({id(r.label) for r in records}) == labels
+        assert len({id(r.lang) for r in records}) == 1 and records[0].lang == "fr-FR"
 
 
 class TestStatsAndViews:

@@ -1,5 +1,7 @@
 import filecmp
 import os
+import re
+import stat
 
 from slumix.jsonio import replacing, write_text
 
@@ -49,3 +51,38 @@ def test_unreadable_target_is_replaced(tmp_path, monkeypatch):
     write_text(path, "{}")
     assert (path.read_text(), path.stat().st_ino != inode) == ("{}", True)
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_umask_is_neither_read_nor_set(tmp_path, monkeypatch):
+    # The kernel applies the umask to the new temporary file, so the writer
+    # changes no process-wide state: it works with os.umask unusable.
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    plain = tmp_path / "plain.json"
+    plain.write_text("{}")
+    monkeypatch.setattr(os, "umask", no_umask)
+    path = tmp_path / "out.json"
+    write_text(path, "{}")
+    assert path.stat().st_mode == plain.stat().st_mode
+    path.chmod(0o600)
+    write_text(path, "[]")
+    assert (path.read_text(), stat.S_IMODE(path.stat().st_mode)) == ("[]", 0o600)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "plain.json"]
+
+
+def test_temporary_name_is_random_and_beside_the_target(tmp_path, monkeypatch):
+    names = []
+    real_open = os.open
+
+    def recording_open(name, *args):
+        names.append(name)
+        return real_open(name, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    path = tmp_path / "out.json"
+    write_text(path, "{}")
+    write_text(path, "[]")
+    assert len(names) == 2 and names[0] != names[1]
+    for name in names:
+        assert re.fullmatch(re.escape(f"{path}.") + "[0-9a-f]{16}" + re.escape(".tmp"), name)
