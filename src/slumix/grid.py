@@ -75,6 +75,29 @@ CSV_COLUMNS = ("corpus", "mode", "target_lang", "scheme", "speech_level",
                "metric", "mean", "half_width", "n", "significant")
 
 
+def _arrays(section, *names) -> None:
+    """Each field ``names`` of a frozen ``section`` as a tuple: a list field
+    that is not a list or tuple is an error, not read as its items."""
+    for name in names:
+        value = getattr(section, name)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"manifest field {name!r} is not an array (got {value!r})")
+        object.__setattr__(section, name, tuple(value))
+
+
+def _from_fields(cls, obj: dict, where: str):
+    """``cls(**obj)`` of the JSON object at ``where``, which must name only
+    fields of ``cls``; a missing required field is a ``KeyError`` naming it."""
+    fields = dataclasses.fields(cls)
+    unknown = [key for key in obj.keys() if key not in {f.name for f in fields}]
+    if unknown:
+        raise ConfigError(f"{where} has unknown field {unknown[0]!r}")
+    for f in fields:
+        if f.name not in obj and f.default is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**obj)
+
+
 @dataclass(frozen=True)
 class CrossLingualSpec:
     source: str
@@ -84,6 +107,7 @@ class CrossLingualSpec:
     fewshot_pairs: int = DEFAULT_FEWSHOT_PAIRS
 
     def __post_init__(self):
+        _arrays(self, "targets", "modes", "massive")
         check_settings(self.modes, self.fewshot_pairs)
         roles: dict[str, str] = {}  # a corpus in two roles would fail cells at run time
         for role, names in (("source", (self.source,)), ("target", self.targets),
@@ -95,11 +119,11 @@ class CrossLingualSpec:
                 roles[name] = role
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentManifest:
     corpora: dict[str, str]
-    schemes: tuple[str, ...]
-    speech_levels: tuple[float, ...]
+    schemes: tuple[str, ...] = SCHEMES
+    speech_levels: tuple[float, ...] = DEFAULT_SPEECH_LEVELS
     seeds: tuple[int, ...]
     epochs: int = 3
     recipe: TrainRecipe = RECIPE_PROFILES["desk"]
@@ -107,6 +131,13 @@ class ExperimentManifest:
     crosslingual: Optional[CrossLingualSpec] = None
 
     def __post_init__(self):
+        # A crosslingual, recipe or sim section given as its manifest object (a
+        # dict) is built here, and each list field kept as a tuple.
+        xl = self.crosslingual
+        if xl is not None and not isinstance(xl, CrossLingualSpec):
+            object.__setattr__(self, "crosslingual", _from_fields(
+                CrossLingualSpec, xl, "manifest section 'crosslingual'"))
+        _arrays(self, "schemes", "speech_levels", "seeds")
         if not self.corpora:
             raise ConfigError("manifest needs at least one corpus")
         for name, path in self.corpora.items():
@@ -148,8 +179,7 @@ class ExperimentManifest:
         if not seen:
             raise ConfigError("manifest enumerates no cell (check its schemes, "
                               "speech levels and cross-lingual modes)")
-        # A recipe or sim given as its manifest section (a dict) is built once,
-        # the sim at seed 0 whatever seed it is given: each cell derives its own.
+        # The sim is built at seed 0 whatever seed it is given: each cell derives its own.
         if not isinstance(self.recipe, TrainRecipe):
             object.__setattr__(self, "recipe", recipe_from_config(self.recipe))
         sim = self.sim
@@ -159,57 +189,26 @@ class ExperimentManifest:
             except TrainError as exc:
                 raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "sim", replace(sim, seed=0))
+        if self.crosslingual is not None and not self.crosslingual.targets:
+            raise ConfigError("cross-lingual section needs at least one target")
 
 
 def manifest_to_dict(manifest: ExperimentManifest) -> dict:
-    obj = {
-        "kind": "experiment_manifest",
-        "manifest_version": 1,
-        "corpora": dict(manifest.corpora),
-        "schemes": list(manifest.schemes),
-        "speech_levels": list(manifest.speech_levels),
-        "seeds": list(manifest.seeds),
-        "epochs": manifest.epochs,
-        "recipe": dataclasses.asdict(manifest.recipe),
-        "sim": {k: v for k, v in dataclasses.asdict(manifest.sim).items() if k != "seed"},
-    }
-    if manifest.crosslingual is not None:
-        obj["crosslingual"] = dataclasses.asdict(manifest.crosslingual)
+    obj = {"kind": "experiment_manifest", "manifest_version": 1,
+           **dataclasses.asdict(manifest)}
+    del obj["sim"]["seed"]
+    if obj["crosslingual"] is None:
+        del obj["crosslingual"]
     return obj
 
 
-def _array(section: dict, name: str, *default) -> tuple:
-    value = section.get(name, *default) if default else section[name]
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    raise ConfigError(f"manifest field {name!r} is not an array (got {value!r})")
-
-
 def manifest_from_dict(obj: dict) -> ExperimentManifest:
-    if obj.get("kind", "experiment_manifest") != "experiment_manifest":
+    fields = dict(obj)
+    if fields.pop("kind", "experiment_manifest") != "experiment_manifest":
         raise ConfigError(f"not an experiment manifest: kind={obj.get('kind')!r}")
-    if obj.get("manifest_version", 1) != 1:
+    if fields.pop("manifest_version", 1) != 1:
         raise ConfigError(f"unsupported manifest version {obj.get('manifest_version')!r}")
-    xl = None
-    if obj.get("crosslingual") is not None:
-        raw = obj["crosslingual"]
-        xl = CrossLingualSpec(
-            source=raw["source"],
-            targets=_array(raw, "targets"),
-            modes=_array(raw, "modes"),
-            massive=_array(raw, "massive", ()),
-            fewshot_pairs=raw.get("fewshot_pairs", DEFAULT_FEWSHOT_PAIRS),
-        )
-    return ExperimentManifest(
-        corpora=dict(obj["corpora"]),
-        schemes=_array(obj, "schemes", ("text_only", "direct", "curriculum")),
-        speech_levels=_array(obj, "speech_levels", DEFAULT_SPEECH_LEVELS),
-        seeds=_array(obj, "seeds"),
-        epochs=obj.get("epochs", 3),
-        recipe=obj.get("recipe", {}),
-        sim=obj.get("sim", {}),
-        crosslingual=xl,
-    )
+    return _from_fields(ExperimentManifest, fields, "manifest")
 
 
 def load_manifest(path) -> ExperimentManifest:
@@ -303,7 +302,7 @@ def make_plan_for_corpus(corpus: Corpus, scheme: str, level: float, seed: int,
 
 def write_report(path, obj) -> None:
     """The bytes of ``report.json`` and ``meta.json``."""
-    write_json(path, obj, indent=2, sort_keys=True)
+    write_json(path, obj, sort_keys=True)
 
 
 def write_predictions(path, rows) -> None:
@@ -314,9 +313,10 @@ def write_predictions(path, rows) -> None:
 
 def _write_cell(cell_dir: Path, plan, model, pred_rows, report, meta) -> None:
     """``meta.json`` is removed first and written last, so no ``meta.json``
-    vouches for half-written files."""
+    vouches for half-written files; temporary files a killed run left go with it."""
     cell_dir.mkdir(parents=True, exist_ok=True)
-    (cell_dir / "meta.json").unlink(missing_ok=True)
+    for stale in (cell_dir / "meta.json", *cell_dir.glob("*.tmp")):
+        stale.unlink(missing_ok=True)
     save_plan(plan, cell_dir / "plan.json")
     save_model(model, cell_dir / "model.json")
     write_predictions(cell_dir / "preds.jsonl", pred_rows)
@@ -329,8 +329,8 @@ def _read_cell(cell_dir: Path, cell_hash: str, xl: Optional[CrossLingualSpec]
     """The scheme and the report of each eval target language ("" on a
     monolingual grid) of a cell finished under ``cell_hash``. None if
     ``meta.json`` or ``report.json`` is missing, is not JSON or lacks a field
-    that aggregation reads (a target's report included), or if the meta
-    carries another hash."""
+    that aggregation reads, if a report (a target's included) does not hold
+    exactly the fields of a ``MetricReport``, or if the meta carries another hash."""
     def meta_fields(meta):
         if meta["scheme"] not in SCHEMES:
             raise ValueError(f"unknown scheme {meta['scheme']!r}")

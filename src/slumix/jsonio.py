@@ -9,6 +9,8 @@ import json
 import os
 import stat
 
+INDENT = 2
+
 
 def read_json(path, error: type[Exception], kind: str, build):
     """``build(obj)`` of the JSON object in ``path``. A file that is not UTF-8
@@ -72,7 +74,7 @@ def write_text(path, text: str) -> None:
         f.write(text)
 
 
-def write_json(path, obj, indent=None, sort_keys: bool = False) -> None:
-    """Write ``obj`` as UTF-8 JSON, non-ASCII kept, in one ``write``
-    (``json.dump`` would stream it through the pure-Python encoder)."""
-    write_text(path, json.dumps(obj, ensure_ascii=False, indent=indent, sort_keys=sort_keys))
+def write_json(path, obj, sort_keys: bool = False) -> None:
+    """Write ``obj`` as UTF-8 JSON, indented by ``INDENT``, non-ASCII kept, in
+    one ``write`` (``json.dump`` would stream it through the pure-Python encoder)."""
+    write_text(path, json.dumps(obj, ensure_ascii=False, indent=INDENT, sort_keys=sort_keys))

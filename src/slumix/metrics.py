@@ -231,22 +231,8 @@ def evaluate(records) -> MetricReport:
 
 
 def report_to_dict(report: MetricReport) -> dict:
-    return {
-        "intent_accuracy": report.intent_accuracy,
-        "entity_precision": report.entity_precision,
-        "entity_recall": report.entity_recall,
-        "entity_f1": report.entity_f1,
-        "slu_f1": report.slu_f1,
-        "counts": dict(report.counts),
-    }
+    return {**vars(report), "counts": dict(report.counts)}
 
 
 def report_from_dict(obj: dict) -> MetricReport:
-    return MetricReport(
-        intent_accuracy=obj["intent_accuracy"],
-        entity_precision=obj["entity_precision"],
-        entity_recall=obj["entity_recall"],
-        entity_f1=obj["entity_f1"],
-        slu_f1=obj["slu_f1"],
-        counts=dict(obj.get("counts", {})),
-    )
+    return MetricReport(**obj)

@@ -206,7 +206,7 @@ def plan_from_dict(obj: dict) -> MixPlan:
 
 
 def save_plan(plan: MixPlan, path) -> None:
-    write_json(path, plan_to_dict(plan), indent=2)
+    write_json(path, plan_to_dict(plan))
 
 
 def load_plan(path) -> MixPlan:

@@ -551,8 +551,8 @@ def model_from_dict(obj: dict, where: str = "model") -> ModelState:
 
 
 def save_model(model: ModelState, path) -> None:
-    """``write_json`` of ``model_to_dict``, with the base64 weights (which need
-    no escaping) spliced in at their key, past the encoder's escape scan."""
+    """``model_to_dict`` as one line of JSON, with the base64 weights (which
+    need no escaping) spliced in at their key, past the encoder's escape scan."""
     obj = model_to_dict(model)
     weights, obj["weights"] = obj["weights"], ""
     head, tail = json.dumps(obj, ensure_ascii=False).split('"weights": ""', 1)
@@ -597,5 +597,5 @@ def export_manifest(plan: MixPlan, recipe: TrainRecipe, corpus_ref: str,
         "totals": plan_totals(plan),
     }
     if path is not None:
-        write_json(path, manifest, indent=2)
+        write_json(path, manifest)
     return manifest

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,18 @@ class TestManifest:
             path.write_text(json.dumps({**manifest_to_dict(manifests[0]), section: value}))
             assert load_manifest(path) == manifests[0]
 
+    def test_defaults_and_sections_apply_in_code_as_in_json(self, syn_path):
+        corpora = {"syn": str(syn_path), "other": str(syn_path)}
+        xl = {"source": "syn", "targets": ["other"], "modes": ["T"]}
+        in_code = ExperimentManifest(corpora=corpora, seeds=[1], crosslingual=xl)
+        assert in_code == manifest_from_dict({"corpora": corpora, "seeds": [1],
+                                              "crosslingual": xl})
+        assert in_code.schemes == ("text_only", "direct", "curriculum")
+        assert in_code.speech_levels == (0.02, 0.05, 0.10, 0.25, 0.50, 1.0)
+        assert in_code.seeds == (1,)
+        assert in_code.crosslingual == CrossLingualSpec(source="syn", targets=("other",),
+                                                        modes=("T",))
+
     def test_sim_seed_is_not_a_manifest_setting(self, syn_path):
         # Each cell derives its own sim seed, so the manifest's sim is at seed 0.
         seeded = mini_manifest(syn_path, sim=SpeechSimConfig(seed=5))
@@ -265,6 +278,17 @@ class TestRunGrid:
         assert again.ok and (again.cells_run, again.cells_skipped) == (1, 1)
         assert again.results[1].cell.cell_id == faulty and again.results[1].ran
 
+    def test_rerun_removes_temporary_files_of_a_killed_run(self, syn_path, tmp_path):
+        manifest = mini_manifest(syn_path, schemes=("text_only",), seeds=(1,), epochs=1)
+        cell = tmp_path / "runs" / "syn__text_only__p0__s1"
+        assert run_grid(manifest, tmp_path / "runs").ok
+        (cell / "meta.json").unlink()  # killed before the cell's last write
+        stale = cell / "plan.json.0123456789abcdef.tmp"
+        stale.write_text("{")
+        again = run_grid(manifest, tmp_path / "runs")
+        assert again.ok and again.cells_run == 1
+        assert not stale.exists() and (cell / "meta.json").exists()
+
     def test_resume_skips_everything(self, syn_path, tmp_path):
         manifest = mini_manifest(syn_path)
         run_grid(manifest, tmp_path / "runs")
@@ -309,13 +333,13 @@ class TestRunGrid:
                         tmp_path / "runs").ok
         assert calls == []
 
-    def test_failed_cell_recorded_not_fatal(self, tmp_path, syn_path):
-        # fewshot_pairs larger than any target pool makes every cell fail
-        manifest = mini_manifest(syn_path, crosslingual=CrossLingualSpec(
-            source="syn", targets=(), modes=("T",), fewshot_pairs=10))
+    def test_failed_cell_recorded_not_fatal(self, tmp_path, xl_setup):
+        # fewshot_pairs larger than the target pool makes every T cell fail
+        manifest = replace(xl_manifest(xl_setup[0]), crosslingual=CrossLingualSpec(
+            source="fr", targets=("de",), modes=("zero_shot", "T"), fewshot_pairs=10_000))
         outcome = run_grid(manifest, tmp_path / "runs")
-        assert not outcome.ok
-        assert outcome.cells_run == 0
+        assert [f["cell"] for f in outcome.failures] == ["xl__T__p0__s1", "xl__T__p0.1__s1"]
+        assert outcome.cells_run == 2
 
     @pytest.mark.parametrize("fault,error", [("missing", FileNotFoundError),
                                              ("malformed", CorpusFormatError)],
@@ -392,9 +416,11 @@ class TestCellIdentity:
         ("report.json", lambda report: {}),
         ("report.json", lambda report: []),
         ("report.json", lambda report: {**report, "slu_f1": "high"}),
+        ("report.json", lambda report: {k: v for k, v in report.items() if k != "counts"}),
+        ("report.json", lambda report: {**report, "wer": 0.5}),
         ("meta.json", lambda meta: {k: v for k, v in meta.items() if k != "scheme"}),
     ], ids=["report_empty_object", "report_array", "report_metric_string",
-            "meta_no_scheme"])
+            "report_no_counts", "report_unknown_field", "meta_no_scheme"])
     def test_damaged_cell_is_rerun_and_counted_missing(self, syn_path, tmp_path, name,
                                                        damage):
         manifest = mini_manifest(syn_path)
@@ -1011,6 +1037,25 @@ class TestCli:
         logged = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert logged["cells_run"] == 0
 
+    def test_json_grid_logs_each_failed_cell(self, xl_setup, tmp_path, capsys):
+        # fewshot_pairs larger than the target pool makes every T cell fail
+        manifest = manifest_to_dict(xl_manifest(xl_setup[0]))
+        manifest["crosslingual"].update(modes=["zero_shot", "T"], fewshot_pairs=10_000)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "runs"
+        assert main(["--json", "grid", "--config", str(path), "--out", str(out)]) == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [line["event"] for line in lines] == ["grid", "cell_failed", "cell_failed"]
+        assert (lines[0]["cells_run"], lines[0]["failures"]) == (2, 2)
+        for line, level in zip(lines[1:], ("0", "0.1")):
+            assert sorted(line) == ["cell", "error", "event", "traceback", "type"]
+            assert line["cell"] == f"xl__T__p{level}__s1" and line["type"] == "ConfigError"
+            assert line["error"].endswith("speech-paired train records (need 10000)")
+            assert line["traceback"].startswith("Traceback") and line["error"] in \
+                line["traceback"]
+        assert (out / "aggregate.csv").exists()
+
     def test_aggregate_and_report_commands(self, syn_path, tmp_path):
         out = tmp_path / "runs"
         manifest = mini_manifest(syn_path, seeds=(1, 2), speech_levels=(0.1,))
@@ -1330,8 +1375,21 @@ class TestCli:
         ("corpora", {"x": ""}, "corpus 'x' path is not a non-empty string ('')"),
         ("crosslingual", {}, "manifest missing field 'source'"),
         ("crosslingual", [], "manifest has a malformed field"),
+        ("crosslingual", {"source": "syn", "targets": [], "modes": ["zero_shot", "T"]},
+         "cross-lingual section needs at least one target"),
+        ("crosslingual", {"source": "syn", "targets": [], "modes": ["T"], "fewshot_pair": 3},
+         "manifest section 'crosslingual' has unknown field 'fewshot_pair'"),
+        ("epoch", 1, "manifest has unknown field 'epoch'"),
+        ("speech_level", [0.02], "manifest has unknown field 'speech_level'"),
+        ("kind", "model_state", "not an experiment manifest: kind='model_state'"),
+        ("manifest_version", 2, "unsupported manifest version 2"),
+        ("corpora", {}, "manifest needs at least one corpus"),
+        ("seeds", [], "manifest needs at least one seed"),
+        ("recipe", {"profile": "huge"}, "unknown recipe profile 'huge'"),
     ], ids=["corpus_path_number", "corpus_path_empty", "crosslingual_empty_object",
-            "crosslingual_empty_array"])
+            "crosslingual_empty_array", "crosslingual_no_target",
+            "crosslingual_unknown_field", "unknown_field", "misspelt_list_field",
+            "other_kind", "other_version", "no_corpus", "no_seed", "unknown_profile"])
     def test_bad_corpus_path_or_crosslingual_section_exit_1_before_any_cell(
             self, syn_path, tmp_path, capsys, field, value, message):
         manifest = manifest_to_dict(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)))

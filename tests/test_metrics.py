@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import time
 from collections import Counter
@@ -18,7 +20,14 @@ from slumix import (
     evaluate,
 )
 from slumix.corpus import UNPARSEABLE
-from slumix.metrics import _max_credit, char_credit, word_credit
+from slumix.metrics import (
+    MetricReport,
+    _max_credit,
+    char_credit,
+    report_from_dict,
+    report_to_dict,
+    word_credit,
+)
 
 
 def rec(uid, gold, pred):
@@ -152,6 +161,12 @@ class TestEvaluateBundle:
     def test_unknown_metric_name(self):
         with pytest.raises(MetricsError):
             evaluate(PERFECT).value("wer")
+
+    def test_report_file_fields_are_the_report_fields(self):
+        report = evaluate(PERFECT)
+        obj = json.loads(json.dumps(report_to_dict(report)))
+        assert list(obj) == [f.name for f in dataclasses.fields(MetricReport)]
+        assert report_from_dict(obj) == report
 
 
 class TestOracleEquivalence:
