@@ -106,17 +106,21 @@ def _cmd_predict(args, log: _Log) -> int:
 
 
 def _cmd_evaluate(args, log: _Log) -> int:
-    rows = []
+    preds = {}  # utt_id -> pred_raw, in file order
+    repeated = None  # the first utt_id a later row repeats
     for lineno, row in _load_jsonl(args.pred):
-        if not isinstance(row.get("utt_id"), str) or "pred_raw" not in row:
+        utt_id = row.get("utt_id")
+        if not isinstance(utt_id, str) or "pred_raw" not in row:
             raise CorpusFormatError("prediction row needs a string 'utt_id' and a 'pred_raw'",
                                     args.pred, lineno)
-        rows.append(row)
+        if utt_id not in preds:
+            preds[utt_id] = row["pred_raw"]
+        elif repeated is None:
+            repeated = utt_id
     # Every gold record is read and checked; only the predicted ids' labels are kept.
-    wanted = {row["utt_id"] for row in rows}
     gold = {utt.id: utt.label for utt in read_records(args.gold, "canonical")
-            if utt.id in wanted}
-    report = score_prediction_rows(rows, gold)
+            if utt.id in preds}
+    report = score_prediction_rows(preds, gold, repeated)
     write_report(args.out, report_to_dict(report))
     log.emit("evaluated", n=report.counts["n_utts"],
              intent_accuracy=round(report.intent_accuracy, 6),

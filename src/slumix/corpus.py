@@ -16,7 +16,9 @@ transcripts and the number of speech records differ.
 fields, its label, a new id, the file's language) and a fault reported with
 path and line; ``load_corpus`` keeps them as a ``Corpus``. Any read hands out
 equal labels as one ``SemanticLabel``, checked at its first record, and equal
-languages as one string; a canonical read also shares transcripts and label fields.
+languages and label field strings (scenario, action, entity type, filler) as
+one string, shared across labels as each label is built; a canonical read also
+shares transcripts.
 
 ``write_records`` writes records' canonical lines as they stream past, each
 shared label encoded once, and hands the records on; ``save_corpus`` writes a
@@ -262,10 +264,11 @@ def _map_split(raw, path, line) -> str:
 _BRACKET_SLOT_RE = re.compile(r"\[\s*([^\[\]:]+?)\s*:\s*([^\[\]]+?)\s*\]")
 
 
-def _entities_from_annotation(annotated: str) -> tuple[Entity, ...]:
-    """Extract (type, filler) pairs from ``[type : filler]`` bracket markup."""
-    return tuple(Entity(etype=m.group(1), filler=m.group(2))
-                 for m in _BRACKET_SLOT_RE.finditer(annotated))
+def _entities_from_annotation(annotated: str, share) -> tuple[Entity, ...]:
+    """Extract (type, filler) pairs from ``[type : filler]`` bracket markup,
+    each string passed through ``share`` (a read's ``shared.setdefault``)."""
+    return tuple(Entity(share(t, t), share(f, f))
+                 for t, f in (m.groups() for m in _BRACKET_SLOT_RE.finditer(annotated)))
 
 
 def _entity_objects(obj: dict, path, line) -> list[dict]:
@@ -275,19 +278,20 @@ def _entity_objects(obj: dict, path, line) -> list[dict]:
     return entities
 
 
-def _entities_from_list(raw: list[dict], annotated: str) -> tuple[Entity, ...]:
+def _entities_from_list(raw: list[dict], annotated: str, share) -> tuple[Entity, ...]:
     ents = []
     fallback = None
     for item in raw:
         etype = str(item.get("type", ""))
         filler = item.get("filler")
         if filler is not None:
-            ents.append(Entity(etype=etype, filler=str(filler)))
+            filler = str(filler)
+            ents.append(Entity(share(etype, etype), share(filler, filler)))
             continue
         # Span-only entity lists (real SLURP): recover fillers from the
         # annotated sentence, in order.
         if fallback is None:
-            fallback = list(_entities_from_annotation(annotated))
+            fallback = list(_entities_from_annotation(annotated, share))
         etype = normalize_key(etype)
         match = next((f for f in fallback if f.etype == etype), None)
         if match is not None:
@@ -378,9 +382,12 @@ def _canonical_records(path, shared: dict) -> Iterator[tuple[int, Utterance]]:
         _validate_record(utt_id, lang, split, text, path, lineno)
         label = labels.get(key)
         if label is None:
-            label = UNPARSEABLE if key[0] else SemanticLabel(
-                *[share(v, v) for v in key[1:3]],
-                tuple(Entity(share(t, t), share(f, f)) for t, f in key[3:]))
+            if key[0]:
+                label = UNPARSEABLE
+            else:  # the key kept holds the read's shared strings, not this line's copies
+                key = (False, *[share(v, v) for v in key[1:3]],
+                       *[(share(t, t), share(f, f)) for t, f in key[3:]])
+                label = SemanticLabel(*key[1:3], tuple(Entity(*e) for e in key[3:]))
             label = labels[key] = _one_label(shared, label, utt_id, path, lineno)
         ref = obj.get("speech_ref")
         yield lineno, Utterance(id=utt_id, lang=share(lang, lang), split=split,
@@ -392,6 +399,7 @@ def _slurp_records(path, shared: dict, pairing: str,
                    default_lang: str) -> Iterator[tuple[int, Utterance]]:
     if pairing not in ("all", "one"):
         raise CorpusFormatError(f"unknown recording pairing {pairing!r} (use 'all' or 'one')")
+    share = shared.setdefault
     for lineno, obj in _load_jsonl(path):
         base_id = obj.get("slurp_id", obj.get("id"))
         if base_id is None:
@@ -403,14 +411,15 @@ def _slurp_records(path, shared: dict, pairing: str,
         action = obj.get("action")
         if action is None:
             scenario, action = _split_intent(obj.get("intent", ""), scenario)
+        action = str(action)
         label = SemanticLabel(
-            scenario=scenario, action=str(action),
-            entities=_entities_from_list(_entity_objects(obj, path, lineno), annotated))
+            share(scenario, scenario), share(action, action),
+            _entities_from_list(_entity_objects(obj, path, lineno), annotated, share))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
         _validate_record(base_id, lang, split, text, path, lineno)
         label = _one_label(shared, label, base_id, path, lineno)
-        lang = shared.setdefault(lang, lang)
+        lang = share(lang, lang)
         recordings = obj.get("recordings", [])
         if not isinstance(recordings, list):
             raise CorpusFormatError("field 'recordings' is not a list", path, lineno)
@@ -427,6 +436,7 @@ def _slurp_records(path, shared: dict, pairing: str,
 
 
 def _massive_records(path, shared: dict, default_lang: str) -> Iterator[tuple[int, Utterance]]:
+    share = shared.setdefault
     for lineno, obj in _load_jsonl(path):
         rec_id = obj.get("id")
         if rec_id is None:
@@ -434,14 +444,13 @@ def _massive_records(path, shared: dict, default_lang: str) -> Iterator[tuple[in
         text = str(obj.get("utt", obj.get("text", "")))
         annotated = str(obj.get("annot_utt", ""))
         scenario, action = _split_intent(obj.get("intent", ""), obj.get("scenario", ""))
-        label = SemanticLabel(
-            scenario=scenario, action=action,
-            entities=_entities_from_annotation(annotated))
+        label = SemanticLabel(share(scenario, scenario), share(action, action),
+                              _entities_from_annotation(annotated, share))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
         _validate_record(str(rec_id), lang, split, text, path, lineno)
         label = _one_label(shared, label, str(rec_id), path, lineno)
-        lang = shared.setdefault(lang, lang)
+        lang = share(lang, lang)
         ref = obj.get("path") or obj.get("audio_path") or obj.get("file")
         yield lineno, Utterance(id=str(rec_id), lang=lang, split=split, text=text,
                                 label=label, speech_ref=None if ref is None else str(ref))
@@ -460,7 +469,7 @@ def read_records(path, profile: str = "canonical", *, pairing: str = "all",
     ``pairing`` applies to SLURP-style sources only: "all" keeps every
     recording as its own speech record, "one" keeps only the first.
     """
-    shared: dict = {}  # the read's one object of each label and language (``_one_label``)
+    shared: dict = {}  # the read's one object of each label (``_one_label``) and string
     if profile == "canonical":
         numbered = _canonical_records(path, shared)
     elif profile == "slurp":

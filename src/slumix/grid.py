@@ -270,16 +270,19 @@ def prediction_rows(records) -> list[dict]:
             for r in records]
 
 
-def score_prediction_rows(rows, gold: dict) -> MetricReport:
-    """Score ``preds.jsonl`` rows against the gold labels of the ids they name
-    by ``utt_id``; each row's ``pred_raw`` is parsed and its ``gold`` ignored."""
+def score_prediction_rows(preds: dict, gold: dict, repeated=None) -> MetricReport:
+    """Score the predictions of a ``preds.jsonl`` file, ``{utt_id: pred_raw}``
+    in file order, against the gold labels of their ids; each ``pred_raw`` is
+    parsed. ``repeated``, an id the file gave twice, is an error once every
+    id is known to ``gold``."""
     records = []
-    for row in rows:
-        label = gold.get(row["utt_id"])
+    for utt_id, raw in preds.items():
+        label = gold.get(utt_id)
         if label is None:
-            raise MetricsError(f"prediction for unknown utterance {row['utt_id']!r}")
-        records.append(PredictionRecord(utt_id=row["utt_id"], gold=label,
-                                        pred=parse_label(row["pred_raw"])))
+            raise MetricsError(f"prediction for unknown utterance {utt_id!r}")
+        records.append(PredictionRecord(utt_id=utt_id, gold=label, pred=parse_label(raw)))
+    if repeated is not None:
+        raise MetricsError(f"duplicate utterance id {repeated!r}")
     return evaluate(records)
 
 

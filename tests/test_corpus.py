@@ -475,6 +475,34 @@ def test_streamed_ingest_holds_each_distinct_label_once(tmp_path, monkeypatch, p
         assert len({id(r.lang) for r in records}) == 1 and records[0].lang == "fr-FR"
 
 
+def two_label_rows(profile):
+    """Two rows of ``profile`` whose labels differ in their action only: the
+    same scenario, entity type and filler, each decoded from its own line."""
+    if profile == "canonical":
+        return [canonical_row("u1"), {**canonical_row("u2", text="when is my alarm"),
+                                      "action": "query"}]
+    if profile == "massive":
+        row = TestMassiveProfile.massive_row
+        return [row(0, audio=False), {**row(1, audio=False), "intent": "alarm_query"}]
+    rows = [TestSlurpProfile.slurp_row(1, 0),
+            {**TestSlurpProfile.slurp_row(2, 0), "action": "query", "intent": "alarm_query"}]
+    if profile == "slurp_fillers":
+        for row in rows:
+            row["entities"] = [{"type": "time", "filler": "seven am"}]
+    return rows
+
+
+@pytest.mark.parametrize("profile", ["canonical", "slurp_fillers", "slurp_brackets", "massive"])
+def test_distinct_labels_share_their_equal_field_strings(tmp_path, profile):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, two_label_rows(profile))
+    first, second = (r.label for r in load_corpus(path, profile.split("_")[0]))
+    assert first != second and first.action != second.action
+    assert first.scenario is second.scenario
+    (a,), (b,) = first.entities, second.entities
+    assert a.etype is b.etype and a.filler is b.filler
+
+
 class TestStatsAndViews:
     def test_empty_corpus_all_zeros(self):
         stats = corpus_stats(Corpus(name="empty", lang="en", records=[]))

@@ -1198,6 +1198,26 @@ class TestCli:
         assert capsys.readouterr().err == "error: prediction for unknown utterance 'nope'\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("ids,message", [
+        (["u1", "u2", "u1"], "duplicate utterance id 'u1'"),
+        (["u1", "u2", "u2", "u1"], "duplicate utterance id 'u2'"),
+        (["nope", "u1", "u2", "u1"], "prediction for unknown utterance 'nope'"),
+        (["u1", "u1", "nope"], "prediction for unknown utterance 'nope'"),
+    ], ids=["repeat", "first_repeat", "unknown_first", "unknown_after"])
+    def test_repeated_prediction_id_exit_1(self, tmp_path, capsys, ids, message):
+        # A repeated id is reported after the gold read, once every id is known.
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("".join(json.dumps({
+            "id": f"u{i}", "lang": "en", "split": "test", "text": "wake me up",
+            "scenario": "alarm", "action": "set", "entities": []}) + "\n" for i in (1, 2, 3)))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps({"utt_id": utt_id, "pred_raw": "alarm|set"}) + "\n"
+                                 for utt_id in ids))
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(preds),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_predictions_reported_before_bad_gold(self, tmp_path, capsys):
         # The predictions are read first, so their fault is the one reported.
         gold = tmp_path / "gold.jsonl"
