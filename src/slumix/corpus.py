@@ -16,9 +16,9 @@ transcripts and the number of speech records differ.
 fields, its label, a new id, the file's language) and a fault reported with
 path and line; ``load_corpus`` keeps them as a ``Corpus``. Any read hands out
 equal labels as one ``SemanticLabel``, checked at its first record, and equal
-languages and label field strings (scenario, action, entity type, filler) as
-one string, shared across labels as each label is built; a canonical read also
-shares transcripts.
+languages and normalized label field strings (scenario, action, entity type,
+filler) as one string, shared across labels; a canonical read also shares
+transcripts.
 
 ``write_records`` writes records' canonical lines as they stream past, each
 shared label encoded once, and hands the records on; ``save_corpus`` writes a
@@ -215,11 +215,19 @@ def _validate_record(utt_id, lang, split, text, path=None, line=None):
 
 
 def _one_label(shared: dict, label: SemanticLabel, utt_id, path=None, line=None) -> SemanticLabel:
+    """The one label of ``label``'s value in ``shared``. A label new to it is
+    checked, and its normalized field strings swapped for ``shared``'s."""
     one = shared.get(label)
     if one is None:
         fault = label_fault(label)
         if fault is not None:
             raise CorpusFormatError(f"record {utt_id!r}: gold label {fault}", path, line)
+        share, swap = shared.setdefault, object.__setattr__
+        swap(label, "scenario", share(label.scenario, label.scenario))
+        swap(label, "action", share(label.action, label.action))
+        for entity in label.entities:
+            swap(entity, "etype", share(entity.etype, entity.etype))
+            swap(entity, "filler", share(entity.filler, entity.filler))
         one = shared[label] = label
     return one
 
@@ -264,11 +272,9 @@ def _map_split(raw, path, line) -> str:
 _BRACKET_SLOT_RE = re.compile(r"\[\s*([^\[\]:]+?)\s*:\s*([^\[\]]+?)\s*\]")
 
 
-def _entities_from_annotation(annotated: str, share) -> tuple[Entity, ...]:
-    """Extract (type, filler) pairs from ``[type : filler]`` bracket markup,
-    each string passed through ``share`` (a read's ``shared.setdefault``)."""
-    return tuple(Entity(share(t, t), share(f, f))
-                 for t, f in (m.groups() for m in _BRACKET_SLOT_RE.finditer(annotated)))
+def _entities_from_annotation(annotated: str) -> tuple[Entity, ...]:
+    """Extract (type, filler) pairs from ``[type : filler]`` bracket markup."""
+    return tuple(Entity(*m.groups()) for m in _BRACKET_SLOT_RE.finditer(annotated))
 
 
 def _entity_objects(obj: dict, path, line) -> list[dict]:
@@ -278,7 +284,7 @@ def _entity_objects(obj: dict, path, line) -> list[dict]:
     return entities
 
 
-def _entities_from_list(raw: list[dict], annotated: str, share) -> tuple[Entity, ...]:
+def _entities_from_list(raw: list[dict], annotated: str) -> tuple[Entity, ...]:
     ents = []
     fallback = None
     for item in raw:
@@ -286,12 +292,12 @@ def _entities_from_list(raw: list[dict], annotated: str, share) -> tuple[Entity,
         filler = item.get("filler")
         if filler is not None:
             filler = str(filler)
-            ents.append(Entity(share(etype, etype), share(filler, filler)))
+            ents.append(Entity(etype, filler))
             continue
         # Span-only entity lists (real SLURP): recover fillers from the
         # annotated sentence, in order.
         if fallback is None:
-            fallback = list(_entities_from_annotation(annotated, share))
+            fallback = list(_entities_from_annotation(annotated))
         etype = normalize_key(etype)
         match = next((f for f in fallback if f.etype == etype), None)
         if match is not None:
@@ -412,9 +418,8 @@ def _slurp_records(path, shared: dict, pairing: str,
         if action is None:
             scenario, action = _split_intent(obj.get("intent", ""), scenario)
         action = str(action)
-        label = SemanticLabel(
-            share(scenario, scenario), share(action, action),
-            _entities_from_list(_entity_objects(obj, path, lineno), annotated, share))
+        label = SemanticLabel(scenario, action, _entities_from_list(
+            _entity_objects(obj, path, lineno), annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("lang", obj.get("locale", default_lang)))
         _validate_record(base_id, lang, split, text, path, lineno)
@@ -444,8 +449,7 @@ def _massive_records(path, shared: dict, default_lang: str) -> Iterator[tuple[in
         text = str(obj.get("utt", obj.get("text", "")))
         annotated = str(obj.get("annot_utt", ""))
         scenario, action = _split_intent(obj.get("intent", ""), obj.get("scenario", ""))
-        label = SemanticLabel(share(scenario, scenario), share(action, action),
-                              _entities_from_annotation(annotated, share))
+        label = SemanticLabel(scenario, action, _entities_from_annotation(annotated))
         split = _map_split(obj.get("partition", obj.get("split", "train")), path, lineno)
         lang = str(obj.get("locale", obj.get("lang", default_lang)))
         _validate_record(str(rec_id), lang, split, text, path, lineno)

@@ -53,6 +53,7 @@ from .metrics import (
     report_from_dict,
     report_to_dict,
 )
+from .report import csv_text
 from .scheduler import (
     SCHEMES,
     MixPlan,
@@ -218,6 +219,8 @@ def load_manifest(path) -> ExperimentManifest:
 def recipe_from_config(cfg: dict) -> TrainRecipe:
     """The recipe of a manifest's ``recipe`` section: its profile's recipe
     (``desk`` if none is named) with the section's other fields replaced."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("manifest section 'recipe' is not an object")
     cfg = dict(cfg)
     profile = cfg.pop("profile", "desk")
     if profile not in RECIPE_PROFILES:
@@ -602,23 +605,14 @@ def write_rows_csv(rows, path) -> None:
 
     The ``significant`` column is recomputed from the rows' cells.
     """
-    lines = [",".join(CSV_COLUMNS)]
+    body = []
     for row, marked in zip(rows, comparison_marks(rows)):
         cell: AggregateCell = row["cell"]
-        values = {
-            "corpus": row["corpus"],
-            "mode": row["mode"],
-            "target_lang": row["target_lang"],
-            "scheme": row["scheme"],
-            "speech_level": _fmt_level(row["speech_level"]),
-            "metric": row["metric"],
-            "mean": repr(cell.mean),
-            "half_width": "" if cell.half_width is None else repr(cell.half_width),
-            "n": str(cell.n),
-            "significant": "yes" if marked else "",
-        }
-        lines.append(",".join(values[c] for c in CSV_COLUMNS))
-    write_text(path, "\n".join(lines) + "\n")
+        body.append([row["corpus"], row["mode"], row["target_lang"], row["scheme"],
+                     _fmt_level(row["speech_level"]), row["metric"], repr(cell.mean),
+                     "" if cell.half_width is None else repr(cell.half_width),
+                     str(cell.n), "yes" if marked else ""])
+    write_text(path, csv_text(CSV_COLUMNS, body))
 
 
 def read_rows_csv(path) -> list[dict]:

@@ -10,6 +10,7 @@ speech-corruption simulator.
 from __future__ import annotations
 
 from .corpus import Corpus, Entity, SemanticLabel, Utterance, validate_corpus
+from .errors import ConfigError
 from .scheduler import derive_rng
 
 _FILLERS = {
@@ -67,6 +68,8 @@ _TEMPLATES = {
 def make_synthetic_corpus(n: int = 2000, seed: int = 0, lang: str = "xx",
                           name: str = "synthetic") -> Corpus:
     """Generate n utterances with train/dev/test splits of roughly 70/15/15."""
+    if n < 1:
+        raise ConfigError(f"a synthetic corpus needs n >= 1 (got {n})")
     rng = derive_rng(seed, "synthetic-corpus")
     # (scenario, action, template, the template's slots in _FILLERS order)
     flat = [(scenario, action, template, [s for s in _FILLERS if f"{{{s}}}" in template])

@@ -503,6 +503,27 @@ def test_distinct_labels_share_their_equal_field_strings(tmp_path, profile):
     assert a.etype is b.etype and a.filler is b.filler
 
 
+@pytest.mark.parametrize("profile", ["canonical", "slurp_fillers", "slurp_brackets", "massive"])
+def test_distinct_labels_share_their_normalized_field_strings(tmp_path, profile):
+    # Normalization changes each of these fields, making a new string per label.
+    rows = two_label_rows(profile)
+    for row in rows:
+        row["scenario"] = "Alarm"
+        if "entities" in row and "filler" in row["entities"][0]:
+            row["entities"] = [{"type": "Time", "filler": "seven  am"}]
+        for key in ("sentence_annotation", "annot_utt"):
+            if key in row:
+                row[key] = re.sub(r"\[time : (\S+) (\S+)\]", r"[Time : \1  \2]", row[key])
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, rows)
+    first, second = (r.label for r in load_corpus(path, profile.split("_")[0]))
+    assert first != second and first.scenario == "alarm"
+    (a,), (b,) = first.entities, second.entities
+    assert a.etype == "time" and " " in a.filler and "  " not in a.filler
+    assert first.scenario is second.scenario
+    assert a.etype is b.etype and a.filler is b.filler
+
+
 class TestStatsAndViews:
     def test_empty_corpus_all_zeros(self):
         stats = corpus_stats(Corpus(name="empty", lang="en", records=[]))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import gc
 import json
@@ -1108,6 +1109,31 @@ class TestCli:
         assert json.loads(captured.out)["missing"] == 1
         assert captured.err == ""
 
+    def test_corpus_name_with_a_comma_round_trips(self, syn_path, tmp_path):
+        # The name is quoted in both CSVs, so no row gains a column.
+        manifest = mini_manifest(syn_path, corpora={"a,b": str(syn_path)}, seeds=(1,),
+                                 speech_levels=(0.1,))
+        config, runs, agg = tmp_path / "m.json", tmp_path / "runs", tmp_path / "agg.csv"
+        config.write_text(json.dumps(manifest_to_dict(manifest)))
+        assert main(["grid", "--config", str(config), "--out", str(runs)]) == 0
+        assert main(["aggregate", "--config", str(config), "--runs", str(runs),
+                     "--out", str(agg)]) == 0
+        assert main(["report", "--agg", str(agg), "--style", "monolingual",
+                     "--out-prefix", str(tmp_path / "table")]) == 0
+        assert {row["corpus"] for row in read_rows_csv(agg)} == {"a,b"}
+        for path, width in ((agg, len(CSV_COLUMNS)), (tmp_path / "table.csv", 8)):
+            with open(path, encoding="utf-8", newline="") as f:
+                rows = list(csv.reader(f))
+            assert len(rows) > 1 and {len(row) for row in rows} == {width}
+            assert {row[0] for row in rows[1:]} == {"a,b"}
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_synth_of_no_record_exit_1(self, tmp_path, capsys, n):
+        out = tmp_path / "s.jsonl"
+        assert main(["synth", "--n", n, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: a synthetic corpus needs n >= 1 (got {n})\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("content,message", [
         ("corpus,mode\nsyn,\n", "2: missing column 'target_lang'"),
         (",".join(CSV_COLUMNS) + "\nsyn,,,direct,0.1,slu_f1,high,,1,\n",
@@ -1406,10 +1432,13 @@ class TestCli:
         ("corpora", {}, "manifest needs at least one corpus"),
         ("seeds", [], "manifest needs at least one seed"),
         ("recipe", {"profile": "huge"}, "unknown recipe profile 'huge'"),
+        ("recipe", [], "manifest section 'recipe' is not an object"),
+        ("recipe", [["peak_lr", 0.7]], "manifest section 'recipe' is not an object"),
     ], ids=["corpus_path_number", "corpus_path_empty", "crosslingual_empty_object",
             "crosslingual_empty_array", "crosslingual_no_target",
             "crosslingual_unknown_field", "unknown_field", "misspelt_list_field",
-            "other_kind", "other_version", "no_corpus", "no_seed", "unknown_profile"])
+            "other_kind", "other_version", "no_corpus", "no_seed", "unknown_profile",
+            "recipe_empty_array", "recipe_array_of_pairs"])
     def test_bad_corpus_path_or_crosslingual_section_exit_1_before_any_cell(
             self, syn_path, tmp_path, capsys, field, value, message):
         manifest = manifest_to_dict(mini_manifest(syn_path, seeds=(1,), speech_levels=(0.1,)))
