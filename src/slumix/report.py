@@ -54,9 +54,9 @@ def _table(rows: dict, lead: list[str], columns) -> tuple[str, list[list[str]]]:
     """One table's Markdown, headed ``lead`` and ``columns``, and its CSV rows,
     both in sorted row order.
 
-    ``rows`` maps each row key to the row's ``lead`` cells and its cells by
-    column, each cell its text and its CSV row. A column that a row lacks is an
-    empty Markdown cell and no CSV row."""
+    ``rows`` maps each row key to the row's cells under ``lead`` and its cells
+    by column, each of those its text and its CSV row. A column that a row
+    lacks is an empty Markdown cell and no CSV row."""
     header = lead + list(columns)
     lines = ["| " + " | ".join(header) + " |",
              "|" + "|".join("---" for _ in header) + "|"]
